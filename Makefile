@@ -52,6 +52,7 @@ racehammer:
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/data/
 	$(GO) test -fuzz=FuzzRunSmall -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -fuzz=FuzzOracle -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzWALRecord -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -fuzz=FuzzEncodeResolveResponse -fuzztime=$(FUZZTIME) ./internal/server/
 
