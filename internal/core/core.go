@@ -109,24 +109,32 @@ type Config struct {
 	PropertyGroups [][]int
 }
 
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.ContinuousLoss == nil {
-		out.ContinuousLoss = loss.NormalizedAbsolute{}
+// WithDefaults returns c with the zero-value defaults filled in and its
+// losses and scheme in the one shape every Algorithm 1 step calls: after
+// it, ContinuousLoss holds a loss.ContinuousKernel, CategoricalLoss a
+// loss.CategoricalKernel and Scheme a reg.Kernel. A loss or scheme
+// without that shape is wrapped here, once, by its package's adapter.
+// Applying WithDefaults again changes nothing.
+func WithDefaults(c Config) Config {
+	if c.ContinuousLoss == nil {
+		c.ContinuousLoss = loss.NormalizedAbsolute{}
 	}
-	if out.CategoricalLoss == nil {
-		out.CategoricalLoss = loss.ZeroOne{}
+	if c.CategoricalLoss == nil {
+		c.CategoricalLoss = loss.ZeroOne{}
 	}
-	if out.Scheme == nil {
-		out.Scheme = reg.ExpMax{}
+	if c.Scheme == nil {
+		c.Scheme = reg.ExpMax{}
 	}
-	if out.MaxIters == 0 {
-		out.MaxIters = 20
+	c.ContinuousLoss = loss.AsContinuousKernel(c.ContinuousLoss)
+	c.CategoricalLoss = loss.AsCategoricalKernel(c.CategoricalLoss)
+	c.Scheme = reg.AsKernel(c.Scheme)
+	if c.MaxIters == 0 {
+		c.MaxIters = 20
 	}
-	if out.Tol == 0 {
-		out.Tol = 1e-6
+	if c.Tol == 0 {
+		c.Tol = 1e-6
 	}
-	return out
+	return c
 }
 
 // Result is the output of a CRH run.
@@ -201,82 +209,76 @@ func Run(d *data.Dataset, cfg Config) (*Result, error) {
 	return Prepare(d).Run(cfg)
 }
 
-// AggregateTruths performs a single truth-update pass (Step II) under the
-// given fixed source weights and returns the resulting truth table. This is
-// the building block the incremental (I-CRH) and MapReduce variants reuse:
-// both compute truths for a batch from externally maintained weights.
-func AggregateTruths(d *data.Dataset, weights []float64, cfg Config) *data.Table {
-	return Prepare(d).AggregateTruths(weights, cfg)
+// LossMatrix is Step I's input: each source's summed deviations and
+// observation counts per property, flattened [k*M+m]. The solver fills
+// it from its per-shard partials and the MapReduce driver from its
+// weight job's output; Combine turns it into per-source losses for both.
+type LossMatrix struct {
+	K, M int
+	Sum  []float64
+	Cnt  []int32
+	avg  []float64
 }
 
-// SourceLosses computes each source's aggregated, normalized loss against
-// the given truths — the quantity Step I feeds to the weight-assignment
-// scheme. Exported for the incremental and MapReduce variants, which
-// accumulate these losses across chunks instead of iterating in place.
-//
-// For probabilistic categorical losses the per-entry distributions are
-// recomputed from the supplied weights before deviations are taken.
-func SourceLosses(d *data.Dataset, truths *data.Table, weights []float64, cfg Config) []float64 {
-	return Prepare(d).SourceLosses(truths, weights, cfg)
+// NewLossMatrix returns a zeroed matrix for K sources and M properties.
+func NewLossMatrix(K, M int) *LossMatrix {
+	return &LossMatrix{K: K, M: M, Sum: make([]float64, K*M), Cnt: make([]int32, K*M), avg: make([]float64, K*M)}
 }
 
-// CombineLossMatrix collapses per-(source, property) deviation sums and
-// observation counts into the per-source losses Step I feeds to the
-// weight scheme, applying the same count and property normalizations the
-// in-process solver uses. Exported so the MapReduce driver — which
-// aggregates the sums with a distributed job — produces weights identical
-// to the serial solver's. The in-process solver's combineInto mirrors
-// this arithmetic operation for operation on flat columns; the two must
-// change together.
-func CombineLossMatrix(sum [][]float64, cnt [][]int, cfg Config) []float64 {
-	cfg = cfg.withDefaults()
-	K := len(sum)
-	if K == 0 {
-		return nil
-	}
-	M := len(sum[0])
-	avg := make([][]float64, K)
+// Combine collapses the matrix over the property subset props into one
+// loss per source, written to dst (length K), applying Section 2.5's
+// normalizations as cfg enables them: each (source, property) sum is
+// divided by its observation count, each property is rescaled by its
+// largest source average, and each source's losses are averaged over
+// the properties it observed. counts, when non-nil, receives each
+// source's observation count over props.
+func (lm *LossMatrix) Combine(dst []float64, counts []int, props []int, cfg *Config) {
+	K, M, P := lm.K, lm.M, len(props)
+	avg := lm.avg[:K*P]
 	for k := 0; k < K; k++ {
-		avg[k] = make([]float64, M)
-		for m := 0; m < M; m++ {
-			if cnt[k][m] > 0 {
+		for j, m := range props {
+			a := 0.0
+			if cnt := lm.Cnt[k*M+m]; cnt > 0 {
 				if cfg.DisableCountNormalization {
-					avg[k][m] = sum[k][m]
+					a = lm.Sum[k*M+m]
 				} else {
-					avg[k][m] = sum[k][m] / float64(cnt[k][m])
+					a = lm.Sum[k*M+m] / float64(cnt)
 				}
 			}
+			avg[k*P+j] = a
 		}
 	}
 	if !cfg.DisablePropNormalization {
-		for m := 0; m < M; m++ {
+		for j := 0; j < P; j++ {
 			var max float64
 			for k := 0; k < K; k++ {
-				if avg[k][m] > max {
-					max = avg[k][m]
+				if avg[k*P+j] > max {
+					max = avg[k*P+j]
 				}
 			}
 			if max > 0 {
 				for k := 0; k < K; k++ {
-					avg[k][m] /= max
+					avg[k*P+j] /= max
 				}
 			}
 		}
 	}
-	losses := make([]float64, K)
 	for k := 0; k < K; k++ {
 		var total float64
-		var nprops int
-		for m := 0; m < M; m++ {
-			if cnt[k][m] > 0 {
-				total += avg[k][m]
+		var nprops, nobs int
+		for j, m := range props {
+			if cnt := lm.Cnt[k*M+m]; cnt > 0 {
+				total += avg[k*P+j]
 				nprops++
+				nobs += int(cnt)
 			}
 		}
 		if nprops > 0 && !cfg.DisableCountNormalization {
 			total /= float64(nprops)
 		}
-		losses[k] = total
+		dst[k] = total
+		if counts != nil {
+			counts[k] = nobs
+		}
 	}
-	return losses
 }

@@ -262,30 +262,66 @@ func TestEquivalenceSharedPool(t *testing.T) {
 	}
 }
 
-// TestEquivalenceHelpers: the one-pass helpers the streaming and
-// MapReduce variants reuse obey the same contract.
+// TestEquivalenceHelpers: the one-pass I-CRH step the streaming variant
+// reuses obeys the same contract.
 func TestEquivalenceHelpers(t *testing.T) {
 	d := synthesize(equivCase{"mixed", 2, 2, 8, 300, 0.3}, 17)
 	weights := make([]float64, d.NumSources())
 	for k := range weights {
 		weights[k] = 0.25 + float64(k)*0.5
 	}
-	refT := AggregateTruths(d, weights, Config{Workers: 1})
-	refL := SourceLosses(d, refT, weights, Config{Workers: 1})
+	prep := Prepare(d)
+	refT, refL := prep.IncrementalPass(weights, Config{Workers: 1})
 	for _, w := range workerGrid() {
-		gotT := AggregateTruths(d, weights, Config{Workers: w})
+		gotT, gotL := prep.IncrementalPass(weights, Config{Workers: w})
 		for e := 0; e < d.NumEntries(); e++ {
 			rv, rok := refT.Get(e)
 			gv, gok := gotT.Get(e)
 			if rok != gok || rv.C != gv.C || !bitsEq(rv.F, gv.F) {
-				t.Fatalf("workers=%d: AggregateTruths entry %d differs", w, e)
+				t.Fatalf("workers=%d: IncrementalPass truth %d differs", w, e)
 			}
 		}
-		gotL := SourceLosses(d, gotT, weights, Config{Workers: w})
 		for k := range refL {
 			if !bitsEq(refL[k], gotL[k]) {
-				t.Fatalf("workers=%d: SourceLosses[%d] differs: %v vs %v", w, k, refL[k], gotL[k])
+				t.Fatalf("workers=%d: IncrementalPass loss %d differs: %v vs %v", w, k, refL[k], gotL[k])
 			}
+		}
+	}
+}
+
+// TestIncrementalPassPinnedEntries: the I-CRH step follows the batch
+// solver's pinning rule — a KnownTruths-pinned entry keeps its truth and
+// has no distribution, so the probabilistic loss charges every observer
+// of it a deviation of 1 instead of rebuilding a distribution from the
+// votes.
+func TestIncrementalPassPinnedEntries(t *testing.T) {
+	b := data.NewBuilder()
+	c := b.MustProperty("c", data.Categorical)
+	b.CatValue(c, "x")
+	b.CatValue(c, "y")
+	for _, o := range []struct{ src, obj, v string }{
+		{"A", "o1", "x"}, {"B", "o1", "x"}, {"A", "o2", "x"},
+	} {
+		if err := b.ObserveCat(o.src, o.obj, "c", o.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := b.Build()
+	known := data.NewTableFor(d)
+	known.Set(d.Entry(0, 0), data.Cat(1)) // pin o1 to y, which nobody claimed
+	truths, losses := Prepare(d).IncrementalPass([]float64{1, 1}, Config{
+		CategoricalLoss: loss.SquaredProb{},
+		KnownTruths:     known,
+	})
+	if v, _ := truths.Get(d.Entry(0, 0)); v.C != 1 {
+		t.Fatalf("pinned truth = %d, want 1", v.C)
+	}
+	// A: (1 on o1 + 0 on o2) / 2 observations = 0.5; B: 1 on o1.
+	// Rescaled by the largest, 1: [0.5, 1].
+	want := []float64{0.5, 1}
+	for k := range want {
+		if losses[k] != want[k] {
+			t.Fatalf("losses = %v, want %v", losses, want)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // (internal/col) plus the per-entry statistics every run needs but no
 // run mutates. Preparing costs one scan of the dataset; once built, a
 // Prepared is immutable and safe for any number of concurrent Run /
-// AggregateTruths / SourceLosses calls. Callers that solve the same
+// IncrementalPass calls. Callers that solve the same
 // dataset repeatedly — the resolve server's snapshots, the streaming
 // processor's warm chunks, benchmark sweeps — should Prepare once and
 // reuse it; the package-level Run freezes on every call.
@@ -62,7 +62,7 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 	if p.d.NumSources() == 0 || p.d.NumEntries() == 0 {
 		return nil, ErrEmptyDataset
 	}
-	cfg = cfg.withDefaults()
+	cfg = WithDefaults(cfg)
 	if cfg.PropertyGroups != nil {
 		if err := validateGroups(cfg.PropertyGroups, p.d.NumProps()); err != nil {
 			return nil, err
@@ -141,56 +141,20 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// AggregateTruths performs a single truth-update pass (Step II) under
-// fixed source weights. See the package-level AggregateTruths; this
-// variant reuses the frozen columns, which is what makes the streaming
-// processor's warm path cheap.
-func (p *Prepared) AggregateTruths(weights []float64, cfg Config) *data.Table {
-	cfg = cfg.withDefaults()
-	cfg.PropertyGroups = nil // single-group helper
+// IncrementalPass is one chunk of Incremental CRH (Algorithm 2, lines
+// 3-4) on one solver: a truth update (Step II) under the fixed source
+// weights, then each source's Step I loss against those truths. The
+// losses are computed exactly as in a Run iteration — the distributions
+// of a probabilistic loss are the ones the truth update just produced,
+// and KnownTruths-pinned entries have none — and are normalized but not
+// turned into weights: the caller folds them into its own accumulated
+// distances. PropertyGroups is ignored; there is one weight per source.
+func (p *Prepared) IncrementalPass(weights []float64, cfg Config) (*data.Table, []float64) {
+	cfg = WithDefaults(cfg)
+	cfg.PropertyGroups = nil
 	s := newSolver(p, cfg)
 	copy(s.weights[0], weights)
 	s.updateTruths(false)
-	return s.truths
-}
-
-// SourceLosses computes each source's aggregated, normalized loss
-// against the given truths. See the package-level SourceLosses; this
-// variant reuses the frozen columns.
-func (p *Prepared) SourceLosses(truths *data.Table, weights []float64, cfg Config) []float64 {
-	cfg = cfg.withDefaults()
-	cfg.PropertyGroups = nil // single-group helper
-	s := newSolver(p, cfg)
-	copy(s.weights[0], weights)
-	s.truths = truths
-	// Rebuild distributions for probabilistic categorical losses so
-	// Deviation sees them; hard losses leave nil distributions.
-	c := p.cols
-	for e := 0; e < c.NumEntries(); e++ {
-		m := c.EntryProp(e)
-		if c.PropKind[m] != data.Categorical || !truths.Has(e) {
-			continue
-		}
-		codes := c.Codes(e)
-		if len(codes) == 0 {
-			continue
-		}
-		ws := s.gatherWeights(s.seq, e, m)
-		if s.catKernel != nil {
-			var dist []float64
-			if s.needDist {
-				dist = s.dists[e]
-			}
-			s.catKernel.TruthCodes(codes, ws, s.seq.votes, dist, p.props[m])
-		} else {
-			cats := s.seq.cats[:len(codes)]
-			for j, code := range codes {
-				cats[j] = int(code)
-			}
-			_, dist := cfg.CategoricalLoss.Truth(cats, ws, p.props[m])
-			s.dists[e] = dist
-		}
-	}
 	losses, _ := s.sourceLosses()
-	return losses[0]
+	return s.truths, losses[0]
 }

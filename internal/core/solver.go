@@ -14,9 +14,8 @@ import (
 
 // solver carries the mutable state of one run over a frozen Prepared.
 // Every buffer the iteration loop touches is allocated here, once: with
-// the default losses and scheme (which implement the kernel interfaces)
-// steady-state iterations perform zero allocations — a contract pinned
-// by TestSolverIterationAllocFree.
+// the default losses and scheme steady-state iterations perform zero
+// allocations — a contract pinned by TestSolverIterationAllocFree.
 type solver struct {
 	prep *Prepared
 	cols *col.Columns
@@ -37,38 +36,33 @@ type solver struct {
 
 	truths *data.Table
 	// weights[g][k] is source k's weight for property group g; the
-	// default configuration has a single group. With an in-place scheme
-	// the buffers are reused across iterations.
+	// default configuration has a single group. The scheme rewrites the
+	// buffers in place every iteration.
 	weights [][]float64
 	// groupOf[m] is property m's group index.
 	groupOf []int
 
-	// Kernel fast paths, detected once per run. Nil fields fall back to
-	// the allocating interface methods (bit-identically).
-	contKernel  loss.ContinuousKernel
-	catKernel   loss.CategoricalKernel
-	inPlace     reg.InPlaceScheme
-	countScheme reg.CountScheme
+	// The configured losses and scheme in the shape the solver calls
+	// (WithDefaults adapted any that lacked it).
+	cont   loss.ContinuousKernel
+	cat    loss.CategoricalKernel
+	scheme reg.Kernel
 
-	// dists[e] is the per-entry category distribution for probabilistic
-	// categorical losses (nil entries for hard losses / continuous /
-	// pinned truths). With a kernel the views index one contiguous
-	// arena; the fallback path stores whatever slice Truth returns.
-	needDist  bool
+	// dists[e] is the per-entry category distribution the categorical
+	// loss returned (nil for hard losses, continuous entries and pinned
+	// truths). For a loss that NeedsDist the views index one contiguous
+	// arena the loss overwrites in place.
 	dists     [][]float64
 	distArena []float64
 
-	// Step I state, allocated on first use (truth-only passes never
-	// need it): per-shard partial loss matrices and their merged totals,
-	// flattened to [k*M+m]. partSum/partCnt hold nsh consecutive K·M
-	// regions so each shard accumulates into its own slot and the merge
-	// can walk them in ascending shard order.
+	// Step I state: per-shard partial loss matrices, flattened to
+	// [k*M+m], and their merged totals. partSum/partCnt hold nsh
+	// consecutive K·M regions so each shard accumulates into its own
+	// slot and the merge can walk them in ascending shard order.
 	nsh     int
 	partSum []float64
 	partCnt []int32
-	sumKM   []float64
-	cntKM   []int32
-	avgBuf  []float64
+	lm      *LossMatrix
 	// groupLosses/groupCounts are the per-group outputs of sourceLosses,
 	// reused across iterations.
 	groupLosses [][]float64
@@ -78,23 +72,20 @@ type solver struct {
 }
 
 // scratch holds one worker's reusable per-entry buffers: gathered
-// weights, fallback value copies, median quickselect space, and the
-// categorical vote tally. All are sized once from the frozen columns'
-// maxima (MaxObs, MaxCats), so per-entry slicing never reallocates.
+// weights, the continuous loss's working space, and the categorical
+// vote tally. All are sized once from the frozen columns' maxima
+// (MaxObs, MaxCats), so per-entry slicing never reallocates.
 type scratch struct {
-	ws, vals, vbuf, wbuf, votes []float64
-	cats                        []int
+	ws, vbuf, wbuf, votes []float64
 }
 
 func (s *solver) newScratch() *scratch {
 	mo, mc := s.cols.MaxObs, s.cols.MaxCats
 	return &scratch{
 		ws:    make([]float64, mo),
-		vals:  make([]float64, mo),
 		vbuf:  make([]float64, mo),
 		wbuf:  make([]float64, mo),
 		votes: make([]float64, mc),
-		cats:  make([]int, mo),
 	}
 }
 
@@ -110,21 +101,19 @@ func newSolver(p *Prepared, cfg Config) *solver {
 		pool:    cfg.Pool,
 		truths:  data.NewTableFor(p.d),
 		groupOf: make([]int, M),
+		cont:    cfg.ContinuousLoss.(loss.ContinuousKernel),
+		cat:     cfg.CategoricalLoss.(loss.CategoricalKernel),
+		scheme:  cfg.Scheme.(reg.Kernel),
 		dists:   make([][]float64, nEntries),
 		nsh:     numShards(nEntries),
 	}
 	if s.workers == 0 {
 		s.workers = runtime.GOMAXPROCS(0)
 	}
-	s.contKernel, _ = cfg.ContinuousLoss.(loss.ContinuousKernel)
-	s.catKernel, _ = cfg.CategoricalLoss.(loss.CategoricalKernel)
-	s.inPlace, _ = cfg.Scheme.(reg.InPlaceScheme)
-	s.countScheme, _ = cfg.Scheme.(reg.CountScheme)
-	if s.catKernel != nil && s.catKernel.NeedsDist() {
+	if s.cat.NeedsDist() {
 		// One contiguous arena holds every categorical entry's
-		// distribution; the kernel overwrites its view in place each
+		// distribution; the loss overwrites its view in place each
 		// iteration instead of allocating a fresh slice per entry.
-		s.needDist = true
 		var total int
 		for m := 0; m < M; m++ {
 			if c.PropKind[m] == data.Categorical {
@@ -163,23 +152,13 @@ func newSolver(p *Prepared, cfg Config) *solver {
 	for m := range s.allProps {
 		s.allProps[m] = m
 	}
+	KM := K * M
+	s.partSum = make([]float64, s.nsh*KM)
+	s.partCnt = make([]int32, s.nsh*KM)
+	s.lm = NewLossMatrix(K, M)
 	s.scratches.New = func() any { return s.newScratch() }
 	s.seq = s.newScratch()
 	return s
-}
-
-// ensureLossBufs allocates the Step I accumulation buffers on first use;
-// truth-only passes (AggregateTruths) never pay for them.
-func (s *solver) ensureLossBufs() {
-	if s.sumKM != nil {
-		return
-	}
-	KM := s.cols.Sources * s.cols.Props
-	s.partSum = make([]float64, s.nsh*KM)
-	s.partCnt = make([]int32, s.nsh*KM)
-	s.sumKM = make([]float64, KM)
-	s.cntKM = make([]int32, KM)
-	s.avgBuf = make([]float64, KM)
 }
 
 // setUniformWeights resets every (group, source) weight to 1.
@@ -348,7 +327,8 @@ func (s *solver) truthShard(sc *scratch, sh, lo, hi int, countChanges bool, perS
 // (Eq 7/9). ok is false when nobody observed the entry. This is the
 // truth-update inner loop — it runs once per entry per iteration, and
 // //crh:hotpath holds it and everything it calls to zero steady-state
-// allocations on the kernel paths.
+// allocations; with the built-in kernels the whole update allocates
+// nothing.
 //
 //crh:hotpath
 func (s *solver) resolveEntry(sc *scratch, e int) (data.Value, bool) {
@@ -360,18 +340,7 @@ func (s *solver) resolveEntry(sc *scratch, e int) (data.Value, bool) {
 			return data.Value{}, false
 		}
 		ws := s.gatherWeights(sc, e, m)
-		if s.catKernel != nil {
-			var dist []float64
-			if s.needDist {
-				dist = s.dists[e]
-			}
-			return data.Cat(s.catKernel.TruthCodes(codes, ws, sc.votes, dist, s.prep.props[m])), true
-		}
-		cats := sc.cats[:len(codes)]
-		for j, code := range codes {
-			cats[j] = int(code)
-		}
-		t, dist := s.cfg.CategoricalLoss.Truth(cats, ws, s.prep.props[m])
+		t, dist := s.cat.TruthCodes(codes, ws, sc.votes, s.dists[e], s.prep.props[m])
 		s.dists[e] = dist
 		return data.Cat(t), true
 	}
@@ -380,14 +349,7 @@ func (s *solver) resolveEntry(sc *scratch, e int) (data.Value, bool) {
 		return data.Value{}, false
 	}
 	ws := s.gatherWeights(sc, e, m)
-	if s.contKernel != nil {
-		return data.Float(s.contKernel.TruthBuf(vals, ws, sc.vbuf, sc.wbuf)), true
-	}
-	// Fallback losses get a scratch copy: the frozen columns are shared
-	// state and must not reach code that might scribble on its input.
-	vcopy := sc.vals[:len(vals)]
-	copy(vcopy, vals)
-	return data.Float(s.cfg.ContinuousLoss.Truth(vcopy, ws)), true
+	return data.Float(s.cont.TruthBuf(vals, ws, sc.vbuf, sc.wbuf)), true
 }
 
 // truthChanged reports whether a truth update moved an entry's estimate:
@@ -425,7 +387,7 @@ func (s *solver) accumulateShard(lsum []float64, lcnt []int32, lo, hi int) {
 			tc := int(truth.C)
 			for j, k := range srcs {
 				i := int(k)*M + m
-				lsum[i] += s.cfg.CategoricalLoss.Deviation(tc, dist, int(codes[j]), p)
+				lsum[i] += s.cat.Deviation(tc, dist, int(codes[j]), p)
 				lcnt[i]++
 			}
 		} else {
@@ -433,7 +395,7 @@ func (s *solver) accumulateShard(lsum []float64, lcnt []int32, lo, hi int) {
 			vals := c.Floats(e)
 			for j, k := range srcs {
 				i := int(k)*M + m
-				lsum[i] += s.cfg.ContinuousLoss.Deviation(truth.F, vals[j], std)
+				lsum[i] += s.cont.Deviation(truth.F, vals[j], std)
 				lcnt[i]++
 			}
 		}
@@ -441,20 +403,17 @@ func (s *solver) accumulateShard(lsum []float64, lcnt []int32, lo, hi int) {
 }
 
 // sourceLosses computes the per-group per-source losses feeding Step I:
-// each source's deviation from the current truths, averaged per
-// observation within each property (unless disabled), rescaled per
-// property so different loss scales are comparable (unless disabled),
-// then averaged across the properties the source observed within each
-// group. The second result is each source's observation count per group,
-// consumed by count-aware weight schemes (reg.CountScheme). Both results
-// are written into solver-owned buffers reused across iterations.
+// each source's deviations from the current truths, merged into the
+// loss matrix and combined per property group (LossMatrix.Combine). The
+// second result is each source's observation count per group, for
+// count-aware schemes. Both results are written into solver-owned
+// buffers reused across iterations.
 func (s *solver) sourceLosses() ([][]float64, [][]int) {
-	s.ensureLossBufs()
 	c := s.cols
-	K, M := c.Sources, c.Props
-	KM := K * M
-	clear(s.sumKM)
-	clear(s.cntKM)
+	KM := c.Sources * c.Props
+	sum, cnt := s.lm.Sum, s.lm.Cnt
+	clear(sum)
+	clear(cnt)
 
 	// Both paths compute one partial matrix per shard and merge partials
 	// in ascending shard order. Shard boundaries depend only on the entry
@@ -484,110 +443,29 @@ func (s *solver) sourceLosses() ([][]float64, [][]int) {
 	for sh := 0; sh < nsh; sh++ {
 		base := sh * KM
 		for i := 0; i < KM; i++ {
-			s.sumKM[i] += s.partSum[base+i]
+			sum[i] += s.partSum[base+i]
 		}
 		for i := 0; i < KM; i++ {
-			s.cntKM[i] += s.partCnt[base+i]
+			cnt[i] += s.partCnt[base+i]
 		}
 	}
 
-	groups := s.cfg.PropertyGroups
-	if groups == nil {
-		counts := s.groupCounts[0]
-		for k := 0; k < K; k++ {
-			t := 0
-			for m := 0; m < M; m++ {
-				t += int(s.cntKM[k*M+m])
-			}
-			counts[k] = t
-		}
-		s.combineInto(s.groupLosses[0], s.allProps)
+	if s.cfg.PropertyGroups == nil {
+		s.lm.Combine(s.groupLosses[0], s.groupCounts[0], s.allProps, &s.cfg)
 		return s.groupLosses, s.groupCounts
 	}
-	// Per group: combine only the group's property columns.
-	for gi, g := range groups {
-		counts := s.groupCounts[gi]
-		for k := 0; k < K; k++ {
-			t := 0
-			for _, m := range g {
-				t += int(s.cntKM[k*M+m])
-			}
-			counts[k] = t
-		}
-		s.combineInto(s.groupLosses[gi], g)
+	for gi, g := range s.cfg.PropertyGroups {
+		s.lm.Combine(s.groupLosses[gi], s.groupCounts[gi], g, &s.cfg)
 	}
 	return s.groupLosses, s.groupCounts
 }
 
-// combineInto collapses the merged deviation sums of the given property
-// subset into per-source losses, writing them to dst (length K). It is
-// the flat-column mirror of CombineLossMatrix and must stay arithmetic-
-// for-arithmetic identical to it: count normalization first, then
-// per-property max rescaling, then the per-source average over observed
-// properties.
-func (s *solver) combineInto(dst []float64, props []int) {
-	K, M := s.cols.Sources, s.cols.Props
-	P := len(props)
-	avg := s.avgBuf[:K*P]
-	for k := 0; k < K; k++ {
-		for j, m := range props {
-			a := 0.0
-			if cnt := s.cntKM[k*M+m]; cnt > 0 {
-				if s.cfg.DisableCountNormalization {
-					a = s.sumKM[k*M+m]
-				} else {
-					a = s.sumKM[k*M+m] / float64(cnt)
-				}
-			}
-			avg[k*P+j] = a
-		}
-	}
-	if !s.cfg.DisablePropNormalization {
-		for j := 0; j < P; j++ {
-			var max float64
-			for k := 0; k < K; k++ {
-				if avg[k*P+j] > max {
-					max = avg[k*P+j]
-				}
-			}
-			if max > 0 {
-				for k := 0; k < K; k++ {
-					avg[k*P+j] /= max
-				}
-			}
-		}
-	}
-	for k := 0; k < K; k++ {
-		var total float64
-		var nprops int
-		for j, m := range props {
-			if s.cntKM[k*M+m] > 0 {
-				total += avg[k*P+j]
-				nprops++
-			}
-		}
-		if nprops > 0 && !s.cfg.DisableCountNormalization {
-			total /= float64(nprops)
-		}
-		dst[k] = total
-	}
-}
-
 // updateWeights performs Step I under the configured scheme, once per
-// property group. Count-aware schemes additionally receive each source's
-// per-group observation count; in-place schemes write into the reused
-// weight buffers.
+// property group, writing into the reused weight buffers.
 func (s *solver) updateWeights() {
 	losses, counts := s.sourceLosses()
 	for g, l := range losses {
-		switch {
-		case s.countScheme != nil:
-			s.weights[g] = s.countScheme.WeightsWithCounts(l, counts[g])
-		case s.inPlace != nil:
-			s.inPlace.WeightsInto(s.weights[g], l)
-		default:
-			s.weights[g] = s.cfg.Scheme.Weights(l)
-		}
+		s.scheme.WeightsInto(s.weights[g], l, counts[g])
 	}
 }
 
@@ -633,7 +511,7 @@ func (s *solver) confidence() []float64 {
 					}
 				}
 			} else {
-				std := stdGuardLocal(s.prep.entryStd[e])
+				std := loss.StdGuard(s.prep.entryStd[e])
 				vals := c.Floats(e)
 				for j, k := range srcs {
 					total += gw[k]
@@ -656,7 +534,7 @@ func (s *solver) confidence() []float64 {
 						}
 					}
 				} else {
-					std := stdGuardLocal(s.prep.entryStd[e])
+					std := loss.StdGuard(s.prep.entryStd[e])
 					for _, v := range c.Floats(e) {
 						n++
 						if math.Abs(v-truth.F) <= std {
@@ -669,13 +547,4 @@ func (s *solver) confidence() []float64 {
 		}
 	})
 	return conf
-}
-
-// stdGuardLocal floors a spread for the confidence band, mirroring the
-// loss package's normalizer guard.
-func stdGuardLocal(std float64) float64 {
-	if std < 1e-12 {
-		return 1e-12
-	}
-	return std
 }

@@ -50,7 +50,7 @@ func (b Bregman) Deviation(truth, obs, std float64) float64 {
 		// Bregman divergence is non-negative.
 		d = 0
 	}
-	return d / stdGuard(std)
+	return d / StdGuard(std)
 }
 
 // SquaredBregman returns the squared loss expressed as a Bregman divergence

@@ -16,20 +16,16 @@ func (ZeroOne) Name() string { return "zero-one" }
 
 // Truth implements Categorical: weighted voting. Ties break toward the
 // lowest category index, which makes results deterministic.
-func (ZeroOne) Truth(obs []int, ws []float64, p *data.Property) (int, []float64) {
-	votes := make([]float64, p.NumCats())
-	for j, c := range obs {
-		votes[c] += ws[j]
-	}
-	return stats.ArgMax(votes), nil
+func (l ZeroOne) Truth(obs []int, ws []float64, p *data.Property) (int, []float64) {
+	return l.TruthCodes(codesOf(obs), ws, make([]float64, p.NumCats()), nil, p)
 }
 
 // NeedsDist implements CategoricalKernel: 0-1 truths are hard decisions.
 func (ZeroOne) NeedsDist() bool { return false }
 
-// TruthCodes implements CategoricalKernel: the same weighted vote as
-// Truth, tallied into caller scratch.
-func (ZeroOne) TruthCodes(codes []uint32, ws []float64, votes, _ []float64, p *data.Property) int {
+// TruthCodes implements CategoricalKernel: the weighted vote of Eq(9),
+// tallied into caller scratch.
+func (ZeroOne) TruthCodes(codes []uint32, ws []float64, votes, _ []float64, p *data.Property) (int, []float64) {
 	votes = votes[:p.NumCats()]
 	for i := range votes {
 		votes[i] = 0
@@ -37,7 +33,7 @@ func (ZeroOne) TruthCodes(codes []uint32, ws []float64, votes, _ []float64, p *d
 	for j, c := range codes {
 		votes[c] += ws[j]
 	}
-	return stats.ArgMax(votes)
+	return stats.ArgMax(votes), nil
 }
 
 // Deviation implements Categorical.
@@ -62,36 +58,16 @@ func (SquaredProb) Name() string { return "squared-prob" }
 
 // Truth implements Categorical: the normalized weighted mean of one-hot
 // vectors (Eq 12), reported as its argmax plus the full distribution.
-func (SquaredProb) Truth(obs []int, ws []float64, p *data.Property) (int, []float64) {
-	dist := make([]float64, p.NumCats())
-	var total float64
-	for j, c := range obs {
-		dist[c] += ws[j]
-		total += ws[j]
-	}
-	if total > 0 {
-		for i := range dist {
-			dist[i] /= total
-		}
-	} else if len(obs) > 0 {
-		// Zero total weight: fall back to an unweighted distribution.
-		u := 1 / float64(len(obs))
-		for i := range dist {
-			dist[i] = 0
-		}
-		for _, c := range obs {
-			dist[c] += u
-		}
-	}
-	return stats.ArgMax(dist), dist
+func (l SquaredProb) Truth(obs []int, ws []float64, p *data.Property) (int, []float64) {
+	return l.TruthCodes(codesOf(obs), ws, nil, make([]float64, p.NumCats()), p)
 }
 
 // NeedsDist implements CategoricalKernel: the truth is a distribution.
 func (SquaredProb) NeedsDist() bool { return true }
 
 // TruthCodes implements CategoricalKernel: Eq(12) computed into the
-// entry's persistent distribution slot instead of a fresh slice.
-func (SquaredProb) TruthCodes(codes []uint32, ws []float64, _, dist []float64, p *data.Property) int {
+// entry's distribution storage.
+func (SquaredProb) TruthCodes(codes []uint32, ws []float64, _, dist []float64, p *data.Property) (int, []float64) {
 	dist = dist[:p.NumCats()]
 	for i := range dist {
 		dist[i] = 0
@@ -115,7 +91,7 @@ func (SquaredProb) TruthCodes(codes []uint32, ws []float64, _, dist []float64, p
 			dist[c] += u
 		}
 	}
-	return stats.ArgMax(dist)
+	return stats.ArgMax(dist), dist
 }
 
 // Deviation implements Categorical: ‖I* − I_obs‖² where I* is the truth

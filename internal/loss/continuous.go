@@ -6,17 +6,6 @@ import (
 	"github.com/crhkit/crh/internal/stats"
 )
 
-// stdGuard returns a safe normalizer: entries on which all sources agree
-// have zero spread; their deviations are zero anyway for exact agreement,
-// and near-agreement should not blow up, so we floor the normalizer.
-func stdGuard(std float64) float64 {
-	const eps = 1e-12
-	if std < eps {
-		return eps
-	}
-	return std
-}
-
 // NormalizedSquared is the normalized squared loss of Eq(13):
 //
 //	d(v*, v) = (v* − v)² / std
@@ -30,12 +19,12 @@ type NormalizedSquared struct{}
 func (NormalizedSquared) Name() string { return "squared" }
 
 // Truth implements Continuous: the weighted mean.
-func (NormalizedSquared) Truth(vals, ws []float64) float64 {
-	return stats.WeightedMean(vals, ws)
+func (l NormalizedSquared) Truth(vals, ws []float64) float64 {
+	return l.TruthBuf(vals, ws, nil, nil)
 }
 
 // TruthBuf implements ContinuousKernel: the weighted mean needs no
-// scratch; it is already allocation-free.
+// scratch.
 func (NormalizedSquared) TruthBuf(vals, ws, _, _ []float64) float64 {
 	return stats.WeightedMean(vals, ws)
 }
@@ -43,7 +32,7 @@ func (NormalizedSquared) TruthBuf(vals, ws, _, _ []float64) float64 {
 // Deviation implements Continuous.
 func (NormalizedSquared) Deviation(truth, obs, std float64) float64 {
 	d := truth - obs
-	return d * d / stdGuard(std)
+	return d * d / StdGuard(std)
 }
 
 // NormalizedAbsolute is the normalized absolute-deviation loss of Eq(15):
@@ -57,18 +46,19 @@ type NormalizedAbsolute struct{}
 // Name implements Continuous.
 func (NormalizedAbsolute) Name() string { return "absolute" }
 
-// Truth implements Continuous: the weighted median, computed by expected
-// O(n) quickselect (the solver's hottest path on continuous data).
-func (NormalizedAbsolute) Truth(vals, ws []float64) float64 {
-	return stats.WeightedMedianFast(vals, ws)
+// Truth implements Continuous: the weighted median.
+func (l NormalizedAbsolute) Truth(vals, ws []float64) float64 {
+	return l.TruthBuf(vals, ws, make([]float64, len(vals)), make([]float64, len(vals)))
 }
 
-// TruthBuf implements ContinuousKernel: quickselect into caller scratch.
+// TruthBuf implements ContinuousKernel: the weighted median by expected
+// O(n) quickselect into caller scratch (the solver's hottest path on
+// continuous data).
 func (NormalizedAbsolute) TruthBuf(vals, ws, vbuf, wbuf []float64) float64 {
 	return stats.WeightedMedianBuf(vals, ws, vbuf, wbuf)
 }
 
 // Deviation implements Continuous.
 func (NormalizedAbsolute) Deviation(truth, obs, std float64) float64 {
-	return math.Abs(truth-obs) / stdGuard(std)
+	return math.Abs(truth-obs) / StdGuard(std)
 }

@@ -40,7 +40,7 @@ func (h Huber) Name() string { return "huber" }
 
 // Deviation implements Continuous.
 func (h Huber) Deviation(truth, obs, std float64) float64 {
-	s := stdGuard(std)
+	s := StdGuard(std)
 	r := math.Abs(truth-obs) / s
 	d := h.delta()
 	if r <= d {
@@ -61,10 +61,10 @@ func (h Huber) Truth(vals, ws []float64) float64 {
 	// falling back to the std when more than half the values coincide.
 	s := 1.4826 * stats.MAD(vals)
 	if s < 1e-12 {
-		s = stdGuard(stats.Std(vals))
+		s = StdGuard(stats.Std(vals))
 	}
 	d := h.delta() * s
-	v := stats.WeightedMedianFast(vals, ws)
+	v := NormalizedAbsolute{}.Truth(vals, ws)
 	iters := h.IRLSIters
 	if iters == 0 {
 		iters = 20

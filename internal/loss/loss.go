@@ -10,7 +10,9 @@
 // Continuous and categorical properties use distinct interfaces because
 // their truth spaces differ: continuous truths range over ℝ while
 // categorical truths range over the property's dictionary (optionally with
-// a probability distribution over it).
+// a probability distribution over it). The solver calls each loss in its
+// kernel shape (ContinuousKernel, CategoricalKernel); a loss without one
+// is adapted once per run by AsContinuousKernel or AsCategoricalKernel.
 package loss
 
 import "github.com/crhkit/crh/internal/data"
@@ -28,41 +30,6 @@ type Continuous interface {
 	Deviation(truth, obs, std float64) float64
 }
 
-// ContinuousKernel is the allocation-free fast path of a Continuous
-// loss. The columnar solver detects it once per run and hands every
-// truth update caller-owned scratch; losses without a kernel fall back
-// to Truth, which may allocate. Implementations must return exactly the
-// bits Truth returns — the kernel is a performance contract, never a
-// semantic one.
-type ContinuousKernel interface {
-	Continuous
-	// TruthBuf is Truth with scratch: vbuf and wbuf (each of length
-	// ≥ len(vals)) are caller-owned working buffers the kernel may
-	// overwrite. vals and ws are read-only.
-	TruthBuf(vals, ws, vbuf, wbuf []float64) float64
-}
-
-// CategoricalKernel is the allocation-free fast path of a Categorical
-// loss, operating directly on interned category codes from the columnar
-// claim index (codes are identical to the property's category indices,
-// so tie-breaking is unchanged). Implementations must make TruthCodes
-// bit-identical to Truth.
-type CategoricalKernel interface {
-	Categorical
-	// NeedsDist reports whether TruthCodes fills a per-entry truth
-	// distribution. When false the solver passes dist == nil and skips
-	// the distribution arena entirely.
-	NeedsDist() bool
-	// TruthCodes is Truth over interned codes: codes[j] is the jth
-	// observer's category code and ws[j] its source weight. votes is
-	// transient scratch (length ≥ p.NumCats(), contents arbitrary,
-	// clobbered). dist, when NeedsDist, is the entry's persistent
-	// distribution storage (length p.NumCats()); the kernel overwrites
-	// it with the same values Truth would have returned. The returned
-	// truth is the winning category index.
-	TruthCodes(codes []uint32, ws []float64, votes, dist []float64, p *data.Property) int
-}
-
 // Categorical is a loss over discrete-valued properties. Observations and
 // truths are category indices into the property's dictionary.
 type Categorical interface {
@@ -77,4 +44,107 @@ type Categorical interface {
 	// truth. dist is the distribution returned by Truth (nil for hard
 	// losses).
 	Deviation(truth int, dist []float64, obs int, p *data.Property) float64
+}
+
+// ContinuousKernel is the one shape of a continuous loss the solver
+// calls: the truth update with caller-owned scratch, so steady-state
+// iterations allocate nothing. The built-in losses with a scratch form
+// implement it; every other Continuous reaches the solver through
+// AsContinuousKernel. A kernel must return exactly the bits Truth
+// returns: it is a performance contract, never a semantic one.
+type ContinuousKernel interface {
+	Continuous
+	// TruthBuf returns Truth(vals, ws). vbuf and wbuf (each of length
+	// ≥ len(vals)) are caller-owned working buffers it may overwrite;
+	// vals is read-only.
+	TruthBuf(vals, ws, vbuf, wbuf []float64) float64
+}
+
+// CategoricalKernel is the one shape of a categorical loss the solver
+// calls: the truth update over interned category codes from the
+// columnar claim index (codes coincide with the property's category
+// indices, so tie-breaking is unchanged). The built-in losses with a
+// code form implement it; every other Categorical reaches the solver
+// through AsCategoricalKernel. TruthCodes must be bit-identical to
+// Truth.
+type CategoricalKernel interface {
+	Categorical
+	// NeedsDist reports whether TruthCodes keeps its distribution in
+	// solver-owned storage. When true the solver hands every
+	// categorical entry a persistent slice of length p.NumCats() as
+	// dist; the parallel MapReduce formulation, which has no per-entry
+	// state, rejects such losses.
+	NeedsDist() bool
+	// TruthCodes is Truth over interned codes: codes[j] is the jth
+	// observer's category code and ws[j] its source weight. votes is
+	// transient scratch (length ≥ p.NumCats(), contents arbitrary,
+	// clobbered). dist is the entry's distribution storage when
+	// NeedsDist, which the kernel overwrites; other kernels ignore it.
+	// It returns the winning category index and the entry's
+	// distribution: nil for hard losses, the same values Truth returns
+	// otherwise.
+	TruthCodes(codes []uint32, ws []float64, votes, dist []float64, p *data.Property) (int, []float64)
+}
+
+// AsContinuousKernel returns l in the solver's shape: l itself when it
+// implements ContinuousKernel, otherwise l behind the adapter, whose
+// TruthBuf copies vals into vbuf before calling Truth (a loss without a
+// kernel may reorder its input, and the solver's columns are shared).
+func AsContinuousKernel(l Continuous) ContinuousKernel {
+	if k, ok := l.(ContinuousKernel); ok {
+		return k
+	}
+	return continuousAdapter{l}
+}
+
+type continuousAdapter struct{ Continuous }
+
+func (a continuousAdapter) TruthBuf(vals, ws, vbuf, _ []float64) float64 {
+	v := vbuf[:len(vals)]
+	copy(v, vals)
+	return a.Truth(v, ws)
+}
+
+// AsCategoricalKernel returns l in the solver's shape: l itself when it
+// implements CategoricalKernel, otherwise l behind the adapter, whose
+// TruthCodes calls Truth and passes on the distribution Truth returns
+// (nil for a hard loss).
+func AsCategoricalKernel(l Categorical) CategoricalKernel {
+	if k, ok := l.(CategoricalKernel); ok {
+		return k
+	}
+	return categoricalAdapter{l}
+}
+
+type categoricalAdapter struct{ Categorical }
+
+func (categoricalAdapter) NeedsDist() bool { return false }
+
+func (a categoricalAdapter) TruthCodes(codes []uint32, ws []float64, _, _ []float64, p *data.Property) (int, []float64) {
+	obs := make([]int, len(codes))
+	for j, c := range codes {
+		obs[j] = int(c)
+	}
+	return a.Truth(obs, ws, p)
+}
+
+// codesOf converts category indices to interned codes, for the built-in
+// Truth methods that wrap their kernels.
+func codesOf(obs []int) []uint32 {
+	codes := make([]uint32, len(obs))
+	for j, c := range obs {
+		codes[j] = uint32(c)
+	}
+	return codes
+}
+
+// StdGuard floors an entry's spread at 1e-12 so the normalized losses
+// (Eq 13 and Eq 15) and the solver's confidence band stay finite when
+// every source agrees.
+func StdGuard(std float64) float64 {
+	const eps = 1e-12
+	if std < eps {
+		return eps
+	}
+	return std
 }

@@ -102,22 +102,11 @@ func RunParallel(d *data.Dataset, cfg ParallelConfig) (*ParallelResult, error) {
 	if d.NumSources() == 0 || d.NumEntries() == 0 {
 		return nil, core.ErrEmptyDataset
 	}
-	if _, ok := cfg.Core.CategoricalLoss.(loss.SquaredProb); ok {
+	ccfg := core.WithDefaults(cfg.Core)
+	if ccfg.CategoricalLoss.(loss.CategoricalKernel).NeedsDist() {
 		return nil, errors.New("mapreduce: probabilistic categorical loss is not supported in parallel CRH")
 	}
-	ccfg := cfg.Core
-	if ccfg.ContinuousLoss == nil {
-		ccfg.ContinuousLoss = loss.NormalizedAbsolute{}
-	}
-	if ccfg.CategoricalLoss == nil {
-		ccfg.CategoricalLoss = loss.ZeroOne{}
-	}
-	if ccfg.Scheme == nil {
-		ccfg.Scheme = reg.ExpMax{}
-	}
-	if ccfg.MaxIters == 0 {
-		ccfg.MaxIters = 20
-	}
+	scheme := ccfg.Scheme.(reg.Kernel)
 	if cfg.Mappers == 0 {
 		cfg.Mappers = ccfg.Workers
 	}
@@ -142,6 +131,14 @@ func RunParallel(d *data.Dataset, cfg ParallelConfig) (*ParallelResult, error) {
 	}
 	truths := data.NewTableFor(d)
 	entryStd := make([]float64, d.NumEntries())
+	// The driver's Step I state: the loss matrix the weight job fills,
+	// combined over all properties exactly as the serial solver does.
+	lm := core.NewLossMatrix(K, M)
+	allProps := make([]int, M)
+	for m := range allProps {
+		allProps[m] = m
+	}
+	losses := make([]float64, K)
 
 	res := &ParallelResult{}
 	for it := 0; it < ccfg.MaxIters; it++ {
@@ -267,20 +264,18 @@ func RunParallel(d *data.Dataset, cfg ParallelConfig) (*ParallelResult, error) {
 		res.Jobs = append(res.Jobs, st)
 
 		// Driver: assemble the loss matrix, normalize exactly like the
-		// serial solver, and update the shared weight file.
-		sum := make([][]float64, K)
-		cnt := make([][]int, K)
-		for k := 0; k < K; k++ {
-			sum[k] = make([]float64, M)
-			cnt[k] = make([]int, M)
-		}
+		// serial solver, and update the shared weight file. Counts are
+		// not passed on: the scheme sees what Scheme.Weights would.
+		clear(lm.Sum)
+		clear(lm.Cnt)
 		for _, kv := range out {
 			k, m := parseSrcPropKey(kv.Key)
 			p := kv.Value.(errPair)
-			sum[k][m] = p.sum
-			cnt[k][m] = p.count
+			lm.Sum[k*M+m] = p.sum
+			lm.Cnt[k*M+m] = int32(p.count)
 		}
-		weights = ccfg.Scheme.Weights(core.CombineLossMatrix(sum, cnt, ccfg))
+		lm.Combine(losses, nil, allProps, &ccfg)
+		scheme.WeightsInto(weights, losses, nil)
 	}
 
 	res.Truths = truths

@@ -258,9 +258,11 @@ func TestParallelQuality(t *testing.T) {
 
 func TestParallelRejectsSquaredProb(t *testing.T) {
 	d, _ := synth.Adult(synth.UCIConfig{Seed: 53, Rows: 10})
-	_, err := RunParallel(d, ParallelConfig{Core: core.Config{CategoricalLoss: loss.SquaredProb{}}})
-	if err == nil {
-		t.Fatal("expected rejection of probabilistic loss")
+	for _, l := range []loss.Categorical{loss.SquaredProb{}, &loss.SquaredProb{}} {
+		_, err := RunParallel(d, ParallelConfig{Core: core.Config{CategoricalLoss: l}})
+		if err == nil {
+			t.Fatalf("expected rejection of probabilistic loss %T", l)
+		}
 	}
 }
 

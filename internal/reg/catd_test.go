@@ -11,7 +11,7 @@ func TestCATDDiscountsLuckySparseSource(t *testing.T) {
 	// observations, bad.
 	losses := []float64{0, 0.02, 0.5}
 	counts := []int{3, 3000, 3000}
-	ws := CATD{}.WeightsWithCounts(losses, counts)
+	ws := catdWeights(CATD{}, losses, counts)
 	if !(ws[1] > ws[0]) {
 		t.Fatalf("dense good source (%v) should outrank lucky sparse one (%v)", ws[1], ws[0])
 	}
@@ -30,7 +30,7 @@ func TestCATDManyClaimsApproachInverseLoss(t *testing.T) {
 	// With equal large counts, CATD ranks by inverse loss.
 	losses := []float64{0.1, 0.2, 0.4}
 	counts := []int{5000, 5000, 5000}
-	ws := CATD{}.WeightsWithCounts(losses, counts)
+	ws := catdWeights(CATD{}, losses, counts)
 	if !(ws[0] > ws[1] && ws[1] > ws[2]) {
 		t.Fatalf("weights %v should decrease with loss", ws)
 	}
@@ -42,12 +42,12 @@ func TestCATDManyClaimsApproachInverseLoss(t *testing.T) {
 
 func TestCATDEdgeCases(t *testing.T) {
 	// All-zero losses: uniform.
-	ws := CATD{}.WeightsWithCounts([]float64{0, 0}, []int{5, 10})
+	ws := catdWeights(CATD{}, []float64{0, 0}, []int{5, 10})
 	if ws[0] != 1 || ws[1] != 1 {
 		t.Fatalf("all-zero losses: %v", ws)
 	}
 	// Zero count: weight 0.
-	ws = CATD{}.WeightsWithCounts([]float64{0.1, 0.1}, []int{0, 10})
+	ws = catdWeights(CATD{}, []float64{0.1, 0.1}, []int{0, 10})
 	if ws[0] != 0 {
 		t.Fatalf("zero-count weight = %v", ws[0])
 	}
@@ -69,11 +69,18 @@ func TestCATDEdgeCases(t *testing.T) {
 func TestCATDCustomAlpha(t *testing.T) {
 	losses := []float64{0.1, 0.1}
 	counts := []int{5, 500}
-	strict := CATD{Alpha: 0.01}.WeightsWithCounts(losses, counts)
-	loose := CATD{Alpha: 0.5}.WeightsWithCounts(losses, counts)
+	strict := catdWeights(CATD{Alpha: 0.01}, losses, counts)
+	loose := catdWeights(CATD{Alpha: 0.5}, losses, counts)
 	// A stricter confidence level discounts the sparse source harder
 	// (relative to the dense one).
 	if !(strict[0]/strict[1] < loose[0]/loose[1]) {
 		t.Fatalf("alpha ordering: strict ratio %v, loose ratio %v", strict[0]/strict[1], loose[0]/loose[1])
 	}
+}
+
+// catdWeights is CATD's count-aware weight vector.
+func catdWeights(c CATD, losses []float64, counts []int) []float64 {
+	ws := make([]float64, len(losses))
+	c.WeightsInto(ws, losses, counts)
+	return ws
 }

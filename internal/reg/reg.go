@@ -22,16 +22,41 @@ type Scheme interface {
 	Weights(losses []float64) []float64
 }
 
-// InPlaceScheme is the allocation-free fast path of a Scheme: the
-// columnar solver detects it once per run and reuses one weight buffer
-// across iterations instead of taking a fresh slice from Weights each
-// time. WeightsInto must write exactly the bits Weights would return;
-// schemes without it fall back to Weights, which allocates.
-type InPlaceScheme interface {
+// Kernel is the one shape of a scheme the solver calls: weights written
+// into a caller-owned buffer, with each source's observation count at
+// hand. Every built-in scheme implements it; any other Scheme reaches
+// the solver through AsKernel.
+type Kernel interface {
 	Scheme
-	// WeightsInto writes Weights(losses) into dst, which has length
-	// len(losses).
-	WeightsInto(dst, losses []float64)
+	// WeightsInto writes one weight per source into dst (length
+	// len(losses)). counts[k] is source k's observation count; nil
+	// counts means the counts are unknown, and then dst receives
+	// exactly Weights(losses).
+	WeightsInto(dst, losses []float64, counts []int)
+}
+
+// AsKernel returns s in the solver's shape: s itself when it implements
+// Kernel, otherwise s behind the adapter, whose WeightsInto copies
+// Weights(losses) into dst and ignores the counts.
+func AsKernel(s Scheme) Kernel {
+	if k, ok := s.(Kernel); ok {
+		return k
+	}
+	return schemeAdapter{s}
+}
+
+type schemeAdapter struct{ Scheme }
+
+func (a schemeAdapter) WeightsInto(dst, losses []float64, _ []int) {
+	copy(dst, a.Weights(losses))
+}
+
+// weights is a built-in scheme's Weights: its WeightsInto a fresh slice,
+// without counts.
+func weights(k Kernel, losses []float64) []float64 {
+	ws := make([]float64, len(losses))
+	k.WeightsInto(ws, losses, nil)
+	return ws
 }
 
 // relFloor guards −log against zero losses: a source whose loss is exactly
@@ -54,12 +79,10 @@ type ExpSum struct{}
 func (ExpSum) Name() string { return "exp-sum" }
 
 // Weights implements Scheme.
-func (ExpSum) Weights(losses []float64) []float64 {
-	return negLog(losses, stats.Sum(losses))
-}
+func (s ExpSum) Weights(losses []float64) []float64 { return weights(s, losses) }
 
-// WeightsInto implements InPlaceScheme.
-func (ExpSum) WeightsInto(dst, losses []float64) {
+// WeightsInto implements Kernel; counts are not used.
+func (ExpSum) WeightsInto(dst, losses []float64, _ []int) {
 	negLogInto(dst, losses, stats.Sum(losses))
 }
 
@@ -78,21 +101,12 @@ type ExpMax struct{}
 func (ExpMax) Name() string { return "exp-max" }
 
 // Weights implements Scheme.
-func (ExpMax) Weights(losses []float64) []float64 {
-	_, max := stats.MinMax(losses)
-	return negLog(losses, max)
-}
+func (s ExpMax) Weights(losses []float64) []float64 { return weights(s, losses) }
 
-// WeightsInto implements InPlaceScheme.
-func (ExpMax) WeightsInto(dst, losses []float64) {
+// WeightsInto implements Kernel; counts are not used.
+func (ExpMax) WeightsInto(dst, losses []float64, _ []int) {
 	_, max := stats.MinMax(losses)
 	negLogInto(dst, losses, max)
-}
-
-func negLog(losses []float64, norm float64) []float64 {
-	ws := make([]float64, len(losses))
-	negLogInto(ws, losses, norm)
-	return ws
 }
 
 func negLogInto(dst, losses []float64, norm float64) {
@@ -127,12 +141,14 @@ type BestSource struct{}
 func (BestSource) Name() string { return "lp-best-source" }
 
 // Weights implements Scheme.
-func (BestSource) Weights(losses []float64) []float64 {
-	ws := make([]float64, len(losses))
+func (s BestSource) Weights(losses []float64) []float64 { return weights(s, losses) }
+
+// WeightsInto implements Kernel; counts are not used.
+func (BestSource) WeightsInto(dst, losses []float64, _ []int) {
+	clear(dst)
 	if i := stats.ArgMin(losses); i >= 0 {
-		ws[i] = 1
+		dst[i] = 1
 	}
-	return ws
 }
 
 // TopJ is the integer-constrained source selection of Eq(7): exactly J
@@ -149,7 +165,10 @@ type TopJ struct {
 func (TopJ) Name() string { return "top-j" }
 
 // Weights implements Scheme.
-func (t TopJ) Weights(losses []float64) []float64 {
+func (t TopJ) Weights(losses []float64) []float64 { return weights(t, losses) }
+
+// WeightsInto implements Kernel; counts are not used.
+func (t TopJ) WeightsInto(dst, losses []float64, _ []int) {
 	k := len(losses)
 	j := t.J
 	if j < 1 {
@@ -159,35 +178,20 @@ func (t TopJ) Weights(losses []float64) []float64 {
 		j = k
 	}
 	// Selection by repeated scan is O(J·K); J and K are small (sources
-	// number in the tens).
-	ws := make([]float64, k)
-	chosen := make([]bool, k)
+	// number in the tens). A nonzero dst entry marks a chosen source.
+	clear(dst)
 	for n := 0; n < j; n++ {
 		best := -1
 		for i, l := range losses {
-			if chosen[i] {
+			if dst[i] != 0 {
 				continue
 			}
 			if best == -1 || l < losses[best] {
 				best = i
 			}
 		}
-		chosen[best] = true
-		ws[best] = 1
+		dst[best] = 1
 	}
-	return ws
-}
-
-// CountScheme is a Scheme that also consumes each source's observation
-// count, enabling long-tail awareness: a source with three lucky claims
-// should not outrank a source with three thousand good ones. The core
-// solver passes counts automatically when the configured scheme
-// implements this interface.
-type CountScheme interface {
-	Scheme
-	// WeightsWithCounts returns one weight per source given each
-	// source's mean normalized loss and its observation count.
-	WeightsWithCounts(losses []float64, counts []int) []float64
 }
 
 // CATD is the confidence-aware weight scheme of Li et al., "A
@@ -211,36 +215,32 @@ type CATD struct {
 // Name implements Scheme.
 func (CATD) Name() string { return "catd" }
 
-// Weights implements Scheme; without counts every source is assumed
-// equally observed and CATD degrades to inverse-loss weighting.
-func (c CATD) Weights(losses []float64) []float64 {
-	counts := make([]int, len(losses))
-	for i := range counts {
-		counts[i] = 1
-	}
-	return c.WeightsWithCounts(losses, counts)
-}
+// Weights implements Scheme: every source counts as observed once, so
+// CATD degrades to inverse-loss weighting.
+func (c CATD) Weights(losses []float64) []float64 { return weights(c, losses) }
 
-// WeightsWithCounts implements CountScheme. losses are per-observation
-// means (the solver's default normalization), so the total deviation is
-// loss·count.
-func (c CATD) WeightsWithCounts(losses []float64, counts []int) []float64 {
+// WeightsInto implements Kernel. losses are per-observation means (the
+// solver's default normalization), so the total deviation is
+// loss·count; nil counts count every source once.
+func (c CATD) WeightsInto(dst, losses []float64, counts []int) {
 	alpha := c.Alpha
 	if alpha == 0 {
 		alpha = 0.05
 	}
-	ws := make([]float64, len(losses))
 	_, max := stats.MinMax(losses)
 	if max <= 0 {
-		for i := range ws {
-			ws[i] = 1
+		for i := range dst {
+			dst[i] = 1
 		}
-		return ws
+		return
 	}
 	for k, l := range losses {
-		n := counts[k]
+		n := 1
+		if counts != nil {
+			n = counts[k]
+		}
 		if n <= 0 {
-			ws[k] = 0
+			dst[k] = 0
 			continue
 		}
 		// Smoothing: one pseudo-observation at the worst per-observation
@@ -249,16 +249,15 @@ func (c CATD) WeightsWithCounts(losses []float64, counts []int) []float64 {
 		// χ² numerator) instead of exploding — the long-tail protection
 		// the scheme exists for.
 		total := l*float64(n) + max
-		ws[k] = stats.ChiSquareInv(alpha/2, float64(n)) / total
+		dst[k] = stats.ChiSquareInv(alpha/2, float64(n)) / total
 	}
 	// Rescale so the best source has weight comparable to the log
 	// schemes (pure scale does not affect the truth updates, but keeps
 	// reported weights readable).
-	_, wmax := stats.MinMax(ws)
+	_, wmax := stats.MinMax(dst)
 	if wmax > 0 {
-		for k := range ws {
-			ws[k] /= wmax
+		for k := range dst {
+			dst[k] /= wmax
 		}
 	}
-	return ws
 }

@@ -174,13 +174,14 @@ func TestNames(t *testing.T) {
 	}
 }
 
-// TestWeightsIntoBitIdentity: the in-place schemes must write exactly
-// the bits their allocating Weights return, whatever garbage the
-// destination held.
+// TestWeightsIntoBitIdentity: every built-in scheme, and any other
+// Scheme through the AsKernel adapter, must write exactly the bits its
+// Weights returns when counts are nil, whatever garbage the destination
+// held; CATD with unit counts must match nil counts.
 func TestWeightsIntoBitIdentity(t *testing.T) {
-	schemes := []InPlaceScheme{ExpMax{}, ExpSum{}}
+	kernels := []Kernel{ExpMax{}, ExpSum{}, BestSource{}, TopJ{J: 2}, CATD{}, AsKernel(reversed{})}
 	rng := rand.New(rand.NewSource(3))
-	for _, s := range schemes {
+	for _, s := range kernels {
 		for trial := 0; trial < 500; trial++ {
 			k := 1 + rng.Intn(12)
 			losses := make([]float64, k)
@@ -197,24 +198,59 @@ func TestWeightsIntoBitIdentity(t *testing.T) {
 			for i := range dst {
 				dst[i] = math.NaN()
 			}
-			s.WeightsInto(dst, losses)
-			for i := range want {
-				if math.Float64bits(want[i]) != math.Float64bits(dst[i]) {
-					t.Fatalf("%s trial %d: dst[%d] = %v, want %v (losses=%v)", s.Name(), trial, i, dst[i], want[i], losses)
-				}
-			}
+			s.WeightsInto(dst, losses, nil)
+			requireBits(t, s.Name(), trial, want, dst, losses)
+		}
+	}
+	losses := []float64{0.5, 1.25, 0.75, 2, 0.1, 0.9}
+	ones := []int{1, 1, 1, 1, 1, 1}
+	dst := make([]float64, len(losses))
+	CATD{}.WeightsInto(dst, losses, ones)
+	requireBits(t, "catd/unit-counts", 0, CATD{}.Weights(losses), dst, losses)
+}
+
+func requireBits(t *testing.T, name string, trial int, want, got, losses []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("%s trial %d: dst[%d] = %v, want %v (losses=%v)", name, trial, i, got[i], want[i], losses)
 		}
 	}
 }
 
+// reversed is a test-only Scheme without WeightsInto: the adapter path.
+type reversed struct{}
+
+func (reversed) Name() string { return "test-reversed" }
+
+func (reversed) Weights(losses []float64) []float64 {
+	ws := make([]float64, len(losses))
+	for k, l := range losses {
+		ws[k] = 1 / (1 + l)
+	}
+	return ws
+}
+
+// TestAsKernel: a built-in scheme is its own kernel; any other Scheme is
+// wrapped and keeps its name.
+func TestAsKernel(t *testing.T) {
+	if k := AsKernel(ExpMax{}); k != (ExpMax{}) {
+		t.Fatalf("AsKernel(ExpMax{}) = %#v, want the scheme itself", k)
+	}
+	if k := AsKernel(reversed{}); k.Name() != "test-reversed" {
+		t.Fatalf("adapted name %q", k.Name())
+	}
+}
+
 // TestWeightsIntoAllocFree pins the zero-allocation contract of the
-// in-place path.
+// solver's weight update for the built-in schemes.
 func TestWeightsIntoAllocFree(t *testing.T) {
 	losses := []float64{0.5, 1.25, 0.75, 2, 0.1, 0.9}
+	counts := []int{3, 40, 7, 12, 1, 9}
 	dst := make([]float64, len(losses))
-	for _, s := range []InPlaceScheme{ExpMax{}, ExpSum{}} {
+	for _, s := range []Kernel{ExpMax{}, ExpSum{}, BestSource{}, TopJ{J: 3}, CATD{}} {
 		allocs := testing.AllocsPerRun(100, func() {
-			s.WeightsInto(dst, losses)
+			s.WeightsInto(dst, losses, counts)
 		})
 		if allocs != 0 {
 			t.Fatalf("%s.WeightsInto allocates %.0f objects per call, want 0", s.Name(), allocs)

@@ -1,32 +1,19 @@
 package stats
 
-// WeightedMedianFast computes the same weighted median as WeightedMedian
+// WeightedMedianBuf computes the same weighted median as WeightedMedian
 // (the Eq(16) element) in expected O(n) time via weighted quickselect,
-// instead of O(n log n) sorting. The truth update calls this once per
+// instead of O(n log n) sorting. The truth update calls it once per
 // continuous entry per iteration, so it is the solver's hottest path on
 // continuous-heavy data.
 //
-// The partition pivot is chosen by median-of-three on values, which keeps
-// the expected linear bound on the already-sorted and reverse-sorted
-// inputs simulators tend to produce. xs and ws are not modified.
-func WeightedMedianFast(xs, ws []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		if len(ws) != 0 {
-			panic("stats: WeightedMedianFast length mismatch")
-		}
-		return 0
-	}
-	return WeightedMedianBuf(xs, ws, make([]float64, n), make([]float64, n))
-}
-
-// WeightedMedianBuf is WeightedMedianFast with caller-owned scratch:
-// vbuf and wbuf (each of length ≥ len(xs)) hold the partitioned working
-// copies, so steady-state callers allocate nothing. The arithmetic — and
-// therefore every returned bit — is identical to WeightedMedianFast; the
-// rare numerical-tie fallback still rescans xs and ws in their original
-// order, which is why the inputs are copied rather than permuted in
-// place. xs and ws are not modified.
+// vbuf and wbuf (each of length ≥ len(xs)) are caller-owned scratch for
+// the partitioned working copies, so steady-state callers allocate
+// nothing. The partition pivot is chosen by median-of-three on values,
+// which keeps the expected linear bound on the already-sorted and
+// reverse-sorted inputs simulators tend to produce. The rare
+// numerical-tie fallback rescans xs and ws in their original order with
+// WeightedMedian, which is why the inputs are copied rather than
+// permuted in place. xs and ws are not modified.
 func WeightedMedianBuf(xs, ws, vbuf, wbuf []float64) float64 {
 	if len(xs) != len(ws) {
 		panic("stats: WeightedMedianBuf length mismatch")

@@ -8,10 +8,15 @@ import (
 	"testing/quick"
 )
 
-// TestWeightedMedianFastMatchesReference is the central correctness check:
+// medianBuf is WeightedMedianBuf with fresh scratch.
+func medianBuf(xs, ws []float64) float64 {
+	return WeightedMedianBuf(xs, ws, make([]float64, len(xs)), make([]float64, len(xs)))
+}
+
+// TestWeightedMedianBufMatchesReference is the central correctness check:
 // quickselect must agree with the sort-based reference on every input,
 // including ties, zero weights, and sorted/reversed orders.
-func TestWeightedMedianFastMatchesReference(t *testing.T) {
+func TestWeightedMedianBufMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 3000; trial++ {
 		n := 1 + rng.Intn(30)
@@ -31,49 +36,49 @@ func TestWeightedMedianFastMatchesReference(t *testing.T) {
 			sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
 		}
 		want := WeightedMedian(xs, ws)
-		got := WeightedMedianFast(xs, ws)
+		got := medianBuf(xs, ws)
 		if got != want {
-			t.Fatalf("trial %d: fast=%v want=%v xs=%v ws=%v", trial, got, want, xs, ws)
+			t.Fatalf("trial %d: buf=%v want=%v xs=%v ws=%v", trial, got, want, xs, ws)
 		}
 	}
 }
 
-func TestWeightedMedianFastDoesNotMutate(t *testing.T) {
+func TestWeightedMedianBufDoesNotMutate(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
 	ws := []float64{1, 2, 3, 4, 5}
-	WeightedMedianFast(xs, ws)
+	medianBuf(xs, ws)
 	if xs[0] != 5 || ws[0] != 1 || xs[4] != 4 || ws[4] != 5 {
 		t.Fatalf("inputs mutated: %v %v", xs, ws)
 	}
 }
 
-func TestWeightedMedianFastEdgeCases(t *testing.T) {
-	if got := WeightedMedianFast(nil, nil); got != 0 {
+func TestWeightedMedianBufEdgeCases(t *testing.T) {
+	if got := medianBuf(nil, nil); got != 0 {
 		t.Fatalf("empty = %v", got)
 	}
-	if got := WeightedMedianFast([]float64{7}, []float64{2}); got != 7 {
+	if got := medianBuf([]float64{7}, []float64{2}); got != 7 {
 		t.Fatalf("single = %v", got)
 	}
-	if got := WeightedMedianFast([]float64{1, 2, 3}, []float64{0, 0, 0}); got != 2 {
+	if got := medianBuf([]float64{1, 2, 3}, []float64{0, 0, 0}); got != 2 {
 		t.Fatalf("all-zero weights = %v", got)
 	}
 	// All values identical.
-	if got := WeightedMedianFast([]float64{4, 4, 4, 4}, []float64{1, 2, 3, 4}); got != 4 {
+	if got := medianBuf([]float64{4, 4, 4, 4}, []float64{1, 2, 3, 4}); got != 4 {
 		t.Fatalf("constant = %v", got)
 	}
 }
 
-func TestWeightedMedianFastPanicsOnMismatch(t *testing.T) {
+func TestWeightedMedianBufPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	WeightedMedianFast([]float64{1}, []float64{1, 2})
+	WeightedMedianBuf([]float64{1}, []float64{1, 2}, make([]float64, 2), make([]float64, 2))
 }
 
-// TestWeightedMedianFastQuick re-verifies the Eq(16) property directly.
-func TestWeightedMedianFastQuick(t *testing.T) {
+// TestWeightedMedianBufQuick re-verifies the Eq(16) property directly.
+func TestWeightedMedianBufQuick(t *testing.T) {
 	f := func(raw []uint8) bool {
 		if len(raw) == 0 {
 			return true
@@ -89,7 +94,7 @@ func TestWeightedMedianFastQuick(t *testing.T) {
 			ws[i] = float64(r%5) + 0.25
 			total += ws[i]
 		}
-		m := WeightedMedianFast(xs, ws)
+		m := medianBuf(xs, ws)
 		var below, above float64
 		for i := range xs {
 			if xs[i] < m {
@@ -113,14 +118,6 @@ func BenchmarkWeightedMedianSort(b *testing.B) {
 	}
 }
 
-func BenchmarkWeightedMedianFast(b *testing.B) {
-	xs, ws := benchMedianData(64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		WeightedMedianFast(xs, ws)
-	}
-}
-
 func benchMedianData(n int) ([]float64, []float64) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, n)
@@ -132,10 +129,10 @@ func benchMedianData(n int) ([]float64, []float64) {
 	return xs, ws
 }
 
-// TestWeightedMedianBufBitIdentity: the scratch-buffer variant must
-// return exactly the bits WeightedMedianFast (and hence WeightedMedian)
-// returns — including on the coarse duplicate-heavy inputs that trigger
-// the numerical-tie fallback — and must not modify its inputs.
+// TestWeightedMedianBufBitIdentity: the result must not depend on what
+// the scratch held before — the same bits as with fresh scratch — on the
+// coarse duplicate-heavy inputs with negative weights that trigger the
+// numerical-tie fallback, and the inputs must not be modified.
 func TestWeightedMedianBufBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 2000; trial++ {
@@ -156,7 +153,7 @@ func TestWeightedMedianBufBitIdentity(t *testing.T) {
 		}
 		origX := append([]float64(nil), xs...)
 		origW := append([]float64(nil), ws...)
-		want := WeightedMedianFast(xs, ws)
+		want := medianBuf(xs, ws)
 		vbuf := make([]float64, n)
 		wbuf := make([]float64, n)
 		for i := range vbuf {
@@ -164,7 +161,7 @@ func TestWeightedMedianBufBitIdentity(t *testing.T) {
 		}
 		got := WeightedMedianBuf(xs, ws, vbuf, wbuf)
 		if math.Float64bits(want) != math.Float64bits(got) {
-			t.Fatalf("trial %d: Buf %v, Fast %v (xs=%v ws=%v)", trial, got, want, xs, ws)
+			t.Fatalf("trial %d: NaN scratch %v, fresh scratch %v (xs=%v ws=%v)", trial, got, want, xs, ws)
 		}
 		for i := range xs {
 			if xs[i] != origX[i] || ws[i] != origW[i] {

@@ -128,6 +128,7 @@ func (m *Metrics) record(chunk *data.Dataset, sources int) {
 // for concurrent use.
 type Processor struct {
 	cfg     Config
+	scheme  reg.Kernel
 	weights []float64
 	accum   []float64
 	history [][]float64 // weights after each chunk
@@ -141,8 +142,10 @@ func NewProcessor(numSources int, cfg Config) *Processor {
 	if !cfg.DecaySet && cfg.Decay == 0 {
 		cfg.Decay = 1
 	}
+	cfg.Core = core.WithDefaults(cfg.Core)
 	p := &Processor{
 		cfg:     cfg,
+		scheme:  cfg.Core.Scheme.(reg.Kernel),
 		weights: make([]float64, numSources),
 		accum:   make([]float64, numSources),
 	}
@@ -171,23 +174,14 @@ func (p *Processor) grow(numSources int) {
 // initialized on first appearance.
 func (p *Processor) Process(chunk *data.Dataset) *data.Table {
 	p.grow(chunk.NumSources())
-	// Freeze the chunk's columnar view once and share it between the
-	// truth pass and the loss pass — the package-level helpers would
-	// re-freeze for each.
-	prep := core.Prepare(chunk)
-	truths := prep.AggregateTruths(p.weights, p.cfg.Core)
-	losses := prep.SourceLosses(truths, p.weights, p.cfg.Core)
+	truths, losses := core.Prepare(chunk).IncrementalPass(p.weights, p.cfg.Core)
 	for k := range p.accum {
 		p.accum[k] *= p.cfg.Decay
 		if k < len(losses) {
 			p.accum[k] += losses[k]
 		}
 	}
-	scheme := p.cfg.Core.Scheme
-	if scheme == nil {
-		scheme = reg.ExpMax{}
-	}
-	p.weights = scheme.Weights(p.accum)
+	p.scheme.WeightsInto(p.weights, p.accum, nil)
 	p.history = append(p.history, append([]float64(nil), p.weights...))
 	p.n++
 	p.cfg.Metrics.record(chunk, len(p.weights))

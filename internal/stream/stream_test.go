@@ -204,7 +204,7 @@ func TestProcessorSingleChunkMatchesVotingThenWeights(t *testing.T) {
 	for k := range uniform {
 		uniform[k] = 1
 	}
-	want := core.AggregateTruths(chunks[0].Data, uniform, core.Config{})
+	want, _ := core.Prepare(chunks[0].Data).IncrementalPass(uniform, core.Config{})
 	for e := 0; e < got.Len(); e++ {
 		v1, ok1 := got.Get(e)
 		v2, ok2 := want.Get(e)
@@ -233,8 +233,7 @@ func TestDecayZeroUsesOnlyLatestChunk(t *testing.T) {
 		p.Process(ch.Data)
 		// Replay: compute this chunk's truths and losses independently
 		// with the same incoming weights, and apply the scheme.
-		truths := core.AggregateTruths(ch.Data, weightsBefore, core.Config{})
-		losses := core.SourceLosses(ch.Data, truths, weightsBefore, core.Config{})
+		_, losses := core.Prepare(ch.Data).IncrementalPass(weightsBefore, core.Config{})
 		want := (reg.ExpMax{}).Weights(losses)
 		got := p.Weights()
 		for k := range want {

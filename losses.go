@@ -8,15 +8,23 @@ import (
 // ContinuousLoss measures deviation on real-valued properties and defines
 // the corresponding weighted aggregation rule (Section 2.4.2 of the
 // paper). Implementations beyond the built-ins can be supplied — any
-// Bregman divergence yields a convergent configuration.
+// Bregman divergence yields a convergent configuration. The solver runs
+// its truth update through a buffer-reusing kernel; a loss without one
+// is wrapped once per run by a single adapter that calls Truth on a
+// private copy of the values, so results are the same either way.
 type ContinuousLoss = loss.Continuous
 
 // CategoricalLoss measures deviation on discrete-valued properties and
 // defines the corresponding weighted aggregation rule (Section 2.4.1).
+// A loss without the solver's kernel is wrapped once per run by a single
+// adapter that calls Truth and hands the distribution it returns (nil
+// for a hard loss) to Deviation.
 type CategoricalLoss = loss.Categorical
 
 // WeightScheme maps per-source aggregated losses to source weights — the
-// regularization choice δ(W) of Section 2.3.
+// regularization choice δ(W) of Section 2.3. A scheme without the
+// solver's in-place, count-aware kernel is wrapped once per run by a
+// single adapter that calls Weights.
 type WeightScheme = reg.Scheme
 
 // AbsoluteLoss returns the normalized absolute-deviation loss (Eq 15),
