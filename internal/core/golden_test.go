@@ -101,6 +101,47 @@ func goldenGrid() []goldenCase {
 			},
 		},
 		{
+			// A caller-seeded start: the first Step I losses are taken
+			// against the seed, not against a uniform-weight pass.
+			name: "mixed-init-truths",
+			data: equivCase{"mixed", 2, 2, 12, 250, 0.3},
+			seed: 107,
+			cfg: func(d *data.Dataset) Config {
+				return Config{InitTruths: lastObserverTruths(d)}
+			},
+		},
+		{
+			// The seed carries no distributions, so the probabilistic
+			// loss's first deviations see none.
+			name: "mixed-init-truths-squaredprob-expsum",
+			data: equivCase{"mixed", 2, 2, 12, 250, 0.3},
+			seed: 107,
+			cfg: func(d *data.Dataset) Config {
+				return Config{
+					InitTruths:      lastObserverTruths(d),
+					ContinuousLoss:  loss.NormalizedSquared{},
+					CategoricalLoss: loss.SquaredProb{},
+					Scheme:          reg.ExpSum{},
+				}
+			},
+		},
+		{
+			name: "mixed-init-known-truths",
+			data: equivCase{"mixed", 2, 2, 9, 200, 0.25},
+			seed: 108,
+			cfg: func(d *data.Dataset) Config {
+				known := data.NewTableFor(d)
+				for e := 0; e < d.NumEntries(); e += 13 {
+					if d.Prop(d.EntryProp(e)).Type == data.Categorical {
+						known.Set(e, data.Cat(2))
+					} else {
+						known.Set(e, data.Float(7))
+					}
+				}
+				return Config{InitTruths: lastObserverTruths(d), KnownTruths: known}
+			},
+		},
+		{
 			// User-supplied losses without kernel methods: the
 			// adapter path.
 			name: "mixed-custom-topj",
@@ -126,6 +167,17 @@ func goldenGrid() []goldenCase {
 			},
 		},
 	}
+}
+
+// lastObserverTruths seeds every observed entry with the claim of its
+// highest-indexed observer — in the synthetic grid the least reliable
+// source — so an InitTruths start begins far from the planted truths.
+func lastObserverTruths(d *data.Dataset) *data.Table {
+	t := data.NewTableFor(d)
+	for e := 0; e < d.NumEntries(); e++ {
+		d.ForEntry(e, func(_ int, v data.Value) { t.Set(e, v) })
+	}
+	return t
 }
 
 // trimmedMean is a test-only continuous loss with no kernel methods: the
