@@ -2,7 +2,10 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
+
+	"github.com/crhkit/crh/internal/data"
 
 	"github.com/crhkit/crh/internal/loss"
 	"github.com/crhkit/crh/internal/reg"
@@ -91,5 +94,64 @@ func TestSolverRunReusesPrepared(t *testing.T) {
 	// table header and truth table growth, nothing per-claim.
 	if b > a*4 {
 		t.Fatalf("run allocations scale with dataset size: %0.f (small) vs %.0f (16x entries)", a, b)
+	}
+}
+
+// countingAbsolute is a test-only continuous loss without kernel methods
+// (it reaches the solver through loss.AsContinuousKernel) that counts
+// its Deviation calls: the number of claim-level loss evaluations.
+type countingAbsolute struct{ n *atomic.Int64 }
+
+func (countingAbsolute) Name() string { return "test-counting-absolute" }
+
+func (countingAbsolute) Truth(vals, ws []float64) float64 {
+	return loss.NormalizedAbsolute{}.Truth(vals, ws)
+}
+
+func (c countingAbsolute) Deviation(truth, obs, std float64) float64 {
+	c.n.Add(1)
+	return loss.NormalizedAbsolute{}.Deviation(truth, obs, std)
+}
+
+// TestSolverLossPassCount pins the fused iteration: a solve makes one
+// loss pass over the claims to start — folded into the uniform-weight
+// truth update, or on its own over InitTruths — and one per iteration,
+// folded into that iteration's truth update. The objective and the next
+// weight update reuse those losses instead of recomputing them.
+func TestSolverLossPassCount(t *testing.T) {
+	d := synthesize(equivCase{"mixed", 2, 2, 10, 200, 0.25}, 45)
+	var claims int64
+	for e := 0; e < d.NumEntries(); e++ {
+		if d.Prop(d.EntryProp(e)).Type == data.Continuous {
+			claims += int64(d.EntryObservers(e))
+		}
+	}
+	p := Prepare(d)
+	for _, w := range []int{1, 4} {
+		for _, start := range []struct {
+			name string
+			init *data.Table
+		}{{"default", nil}, {"init-truths", lastObserverTruths(d)}} {
+			var n atomic.Int64
+			res, err := p.Run(Config{
+				ContinuousLoss: countingAbsolute{&n},
+				InitTruths:     start.init,
+				MaxIters:       5,
+				Tol:            math.Inf(-1),
+				Workers:        w,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int64(res.Iterations+1) * claims; n.Load() != want {
+				t.Errorf("workers=%d %s start: %d deviations over %d iterations, want %d ((iterations+1) x %d claims)",
+					w, start.name, n.Load(), res.Iterations, want, claims)
+			}
+		}
+		var n atomic.Int64
+		p.IncrementalPass(make([]float64, d.NumSources()), Config{ContinuousLoss: countingAbsolute{&n}, Workers: w})
+		if n.Load() != claims {
+			t.Errorf("workers=%d IncrementalPass: %d deviations, want %d (one pass)", w, n.Load(), claims)
+		}
 	}
 }

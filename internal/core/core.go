@@ -150,12 +150,14 @@ type Result struct {
 	// Nil for the default single-group configuration.
 	GroupWeights [][]float64
 	// Objective records the objective value after each iteration's truth
-	// update (index 0 is the initialization pass).
+	// update: index 0 is iteration 1's. The initialization pass records
+	// none.
 	Objective []float64
-	// IterTime records each iteration's wall time (weight update, truth
-	// update, and objective evaluation together), aligned with
-	// Objective. Always populated — convergence-versus-cost analyses
-	// need it whether or not a Trace is installed.
+	// IterTime records each iteration's wall time (weight update, the
+	// truth update with its fused loss fold, and objective evaluation
+	// together), aligned with Objective. The initialization pass is not
+	// included. Always populated — convergence-versus-cost analyses need
+	// it whether or not a Trace is installed.
 	IterTime []time.Duration
 	// Iterations is the number of weight/truth iterations executed.
 	Iterations int

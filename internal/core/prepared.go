@@ -72,13 +72,15 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 
 	// Initialization: either the caller's truths or one truth update
 	// under uniform weights — the Voting/Averaging start the paper
-	// recommends (Section 2.5, "Initialization").
+	// recommends (Section 2.5, "Initialization"). Either way the pass
+	// leaves the first weight update's losses behind.
 	if cfg.InitTruths != nil {
 		s.truths = cfg.InitTruths.Clone()
 		s.pinKnown()
+		s.pass(false, false)
 	} else {
 		s.setUniformWeights()
-		s.updateTruths(false)
+		s.pass(true, false)
 	}
 
 	// The per-iteration appends stay within these capacities, so the
@@ -92,10 +94,8 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 	for it := 0; it < cfg.MaxIters; it++ {
 		t0 := time.Now()
 		s.updateWeights()
-		weightWorkers := s.lastWorkers
 		tW := time.Now()
-		changes := s.updateTruths(tracing)
-		truthWorkers := s.lastWorkers
+		changes := s.pass(true, tracing)
 		tT := time.Now()
 		obj := s.objective()
 		tO := time.Now()
@@ -120,8 +120,8 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 				TruthPhase:     tT.Sub(tW),
 				ObjectivePhase: tO.Sub(tT),
 				TruthChanges:   changes,
-				WeightWorkers:  weightWorkers,
-				TruthWorkers:   truthWorkers,
+				WeightWorkers:  1,
+				TruthWorkers:   s.lastWorkers,
 				Weights:        obs.SummarizeWeights(s.weights[0]),
 				Converged:      res.Converged,
 			})
@@ -142,19 +142,19 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 }
 
 // IncrementalPass is one chunk of Incremental CRH (Algorithm 2, lines
-// 3-4) on one solver: a truth update (Step II) under the fixed source
-// weights, then each source's Step I loss against those truths. The
-// losses are computed exactly as in a Run iteration — the distributions
-// of a probabilistic loss are the ones the truth update just produced,
-// and KnownTruths-pinned entries have none — and are normalized but not
-// turned into weights: the caller folds them into its own accumulated
-// distances. PropertyGroups is ignored; there is one weight per source.
+// 3-4) as one solver pass: a truth update (Step II) under the fixed
+// source weights that folds each source's Step I loss against those
+// truths. The losses are computed exactly as in a Run iteration — the
+// distributions of a probabilistic loss are the ones the truth update
+// just produced, and KnownTruths-pinned entries have none — and are
+// normalized but not turned into weights: the caller folds them into its
+// own accumulated distances. PropertyGroups is ignored; there is one
+// weight per source.
 func (p *Prepared) IncrementalPass(weights []float64, cfg Config) (*data.Table, []float64) {
 	cfg = WithDefaults(cfg)
 	cfg.PropertyGroups = nil
 	s := newSolver(p, cfg)
 	copy(s.weights[0], weights)
-	s.updateTruths(false)
-	losses, _ := s.sourceLosses()
-	return s.truths, losses[0]
+	s.pass(true, false)
+	return s.truths, s.groupLosses[0]
 }

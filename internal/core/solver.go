@@ -31,7 +31,7 @@ type solver struct {
 	scratches sync.Pool
 	seq       *scratch
 	// lastWorkers records the worker budget engaged by the most recent
-	// parallel region — the per-phase count the solver trace reports.
+	// parallel region — the truth phase's count the solver trace reports.
 	lastWorkers int
 
 	truths *data.Table
@@ -63,8 +63,8 @@ type solver struct {
 	partSum []float64
 	partCnt []int32
 	lm      *LossMatrix
-	// groupLosses/groupCounts are the per-group outputs of sourceLosses,
-	// reused across iterations.
+	// groupLosses/groupCounts are the per-group losses and observation
+	// counts the last pass combined, reused across iterations.
 	groupLosses [][]float64
 	groupCounts [][]int
 	// allProps is the identity property list, the default group.
@@ -260,15 +260,23 @@ func (s *solver) gatherWeights(sc *scratch, e, m int) []float64 {
 	return ws
 }
 
-// updateTruths performs Step II: per-entry argmin under current weights,
-// parallelized across entries (each entry's truth is independent).
-// Entries pinned by KnownTruths are left untouched.
+// pass is one sweep of the entry range — the single parallel region of
+// a solver iteration. With resolve set, each shard performs Step II on
+// its entries (truthShard) and then, while they are still in cache, folds
+// the same entries' deviations into its own partial loss matrix
+// (accumulateShard); with resolve off it only folds, for a start from
+// caller-supplied truths. The partials are merged in ascending shard
+// order and combined per property group into groupLosses/groupCounts,
+// which feed both this iteration's objective and the next weight update:
+// once truths and distributions are fixed the losses do not depend on the
+// weights. Shard boundaries depend only on the entry count, so every
+// worker budget performs the same additions in the same order.
 //
 // When countChanges is set (only while a Trace is installed) it returns
 // the number of entries whose truth estimate moved this pass; otherwise
 // it returns 0 without comparing, keeping the untraced path free of the
 // extra table reads.
-func (s *solver) updateTruths(countChanges bool) int {
+func (s *solver) pass(resolve, countChanges bool) int {
 	var perShard []int
 	if countChanges {
 		perShard = make([]int, s.nsh)
@@ -281,13 +289,35 @@ func (s *solver) updateTruths(countChanges bool) int {
 		n := s.cols.NumEntries()
 		for sh := 0; sh < s.nsh; sh++ {
 			lo, hi := shardBounds(n, sh, s.nsh)
-			s.truthShard(s.seq, sh, lo, hi, countChanges, perShard)
+			s.passShard(s.seq, sh, lo, hi, resolve, perShard)
 		}
 	} else {
 		s.forShards(func(sc *scratch, sh, lo, hi int) {
-			s.truthShard(sc, sh, lo, hi, countChanges, perShard)
+			s.passShard(sc, sh, lo, hi, resolve, perShard)
 		})
 	}
+
+	KM := s.cols.Sources * s.cols.Props
+	sum, cnt := s.lm.Sum, s.lm.Cnt
+	clear(sum)
+	clear(cnt)
+	for sh := 0; sh < s.nsh; sh++ {
+		base := sh * KM
+		for i := 0; i < KM; i++ {
+			sum[i] += s.partSum[base+i]
+		}
+		for i := 0; i < KM; i++ {
+			cnt[i] += s.partCnt[base+i]
+		}
+	}
+	if s.cfg.PropertyGroups == nil {
+		s.lm.Combine(s.groupLosses[0], s.groupCounts[0], s.allProps, &s.cfg)
+	} else {
+		for gi, g := range s.cfg.PropertyGroups {
+			s.lm.Combine(s.groupLosses[gi], s.groupCounts[gi], g, &s.cfg)
+		}
+	}
+
 	var changes int
 	for _, n := range perShard {
 		changes += n
@@ -295,10 +325,30 @@ func (s *solver) updateTruths(countChanges bool) int {
 	return changes
 }
 
-// truthShard resolves entries [lo, hi) — one shard of a Step II pass.
+// passShard is one shard's share of a pass over entries [lo, hi): the
+// truth update when resolve is set, then the fold into the shard's own
+// partial loss matrix, cleared first.
 //
 //crh:hotpath
-func (s *solver) truthShard(sc *scratch, sh, lo, hi int, countChanges bool, perShard []int) {
+func (s *solver) passShard(sc *scratch, sh, lo, hi int, resolve bool, perShard []int) {
+	if resolve {
+		s.truthShard(sc, sh, lo, hi, perShard)
+	}
+	KM := s.cols.Sources * s.cols.Props
+	lsum := s.partSum[sh*KM : (sh+1)*KM]
+	lcnt := s.partCnt[sh*KM : (sh+1)*KM]
+	clear(lsum)
+	clear(lcnt)
+	s.accumulateShard(lsum, lcnt, lo, hi)
+}
+
+// truthShard performs Step II on entries [lo, hi): the per-entry argmin
+// under the current weights. Entries pinned by KnownTruths keep their
+// known value and no distribution. A non-nil perShard counts the entries
+// whose estimate moved into perShard[sh].
+//
+//crh:hotpath
+func (s *solver) truthShard(sc *scratch, sh, lo, hi int, perShard []int) {
 	c := s.cols
 	for e := lo; e < hi; e++ {
 		if s.cfg.KnownTruths != nil && s.cfg.KnownTruths.Has(e) {
@@ -311,7 +361,7 @@ func (s *solver) truthShard(sc *scratch, sh, lo, hi int, countChanges bool, perS
 		if !ok {
 			continue
 		}
-		if countChanges {
+		if perShard != nil {
 			t := c.PropKind[c.EntryProp(e)]
 			if old, ok := s.truths.Get(e); !ok || truthChanged(t, old, nv) {
 				perShard[sh]++
@@ -364,10 +414,10 @@ func truthChanged(t data.Type, old, nv data.Value) bool {
 
 // accumulateShard folds entries [lo, hi) into one shard's partial loss
 // matrix (flattened [k*M+m]): each source's deviation from the current
-// truth of every entry it observed (Eq 5/6). It is the per-shard unit of
-// Step I's deviation accumulation, shared by sourceLosses' sequential
-// and parallel paths, and the weight-update inner loop — //crh:hotpath
-// holds it and everything it calls to zero steady-state allocations.
+// truth of every entry it observed (Eq 5/6). It is Step I's deviation
+// accumulation, run by passShard right after the same entries' truth
+// update — //crh:hotpath holds it and everything it calls to zero
+// steady-state allocations.
 //
 //crh:hotpath
 func (s *solver) accumulateShard(lsum []float64, lcnt []int32, lo, hi int) {
@@ -402,80 +452,21 @@ func (s *solver) accumulateShard(lsum []float64, lcnt []int32, lo, hi int) {
 	}
 }
 
-// sourceLosses computes the per-group per-source losses feeding Step I:
-// each source's deviations from the current truths, merged into the
-// loss matrix and combined per property group (LossMatrix.Combine). The
-// second result is each source's observation count per group, for
-// count-aware schemes. Both results are written into solver-owned
-// buffers reused across iterations.
-func (s *solver) sourceLosses() ([][]float64, [][]int) {
-	c := s.cols
-	KM := c.Sources * c.Props
-	sum, cnt := s.lm.Sum, s.lm.Cnt
-	clear(sum)
-	clear(cnt)
-
-	// Both paths compute one partial matrix per shard and merge partials
-	// in ascending shard order. Shard boundaries depend only on the entry
-	// count, so the summation order — and therefore every output bit —
-	// is identical for any worker budget, pool, or scheduling.
-	n := c.NumEntries()
-	nsh := s.nsh
-	if s.effectiveWorkers() <= 1 {
-		s.lastWorkers = 1
-		for sh := 0; sh < nsh; sh++ {
-			lsum := s.partSum[sh*KM : (sh+1)*KM]
-			lcnt := s.partCnt[sh*KM : (sh+1)*KM]
-			clear(lsum)
-			clear(lcnt)
-			lo, hi := shardBounds(n, sh, nsh)
-			s.accumulateShard(lsum, lcnt, lo, hi)
-		}
-	} else {
-		s.forShards(func(_ *scratch, sh, lo, hi int) {
-			lsum := s.partSum[sh*KM : (sh+1)*KM]
-			lcnt := s.partCnt[sh*KM : (sh+1)*KM]
-			clear(lsum)
-			clear(lcnt)
-			s.accumulateShard(lsum, lcnt, lo, hi)
-		})
-	}
-	for sh := 0; sh < nsh; sh++ {
-		base := sh * KM
-		for i := 0; i < KM; i++ {
-			sum[i] += s.partSum[base+i]
-		}
-		for i := 0; i < KM; i++ {
-			cnt[i] += s.partCnt[base+i]
-		}
-	}
-
-	if s.cfg.PropertyGroups == nil {
-		s.lm.Combine(s.groupLosses[0], s.groupCounts[0], s.allProps, &s.cfg)
-		return s.groupLosses, s.groupCounts
-	}
-	for gi, g := range s.cfg.PropertyGroups {
-		s.lm.Combine(s.groupLosses[gi], s.groupCounts[gi], g, &s.cfg)
-	}
-	return s.groupLosses, s.groupCounts
-}
-
 // updateWeights performs Step I under the configured scheme, once per
-// property group, writing into the reused weight buffers.
+// property group, from the losses of the last pass, writing into the
+// reused weight buffers.
 func (s *solver) updateWeights() {
-	losses, counts := s.sourceLosses()
-	for g, l := range losses {
-		s.scheme.WeightsInto(s.weights[g], l, counts[g])
+	for g, l := range s.groupLosses {
+		s.scheme.WeightsInto(s.weights[g], l, s.groupCounts[g])
 	}
 }
 
-// objective evaluates Σ_g Σ_k w_gk · L_gk with the solver's normalized
-// per-source losses — the quantity whose stabilization we use as the
-// convergence criterion.
+// objective evaluates Σ_g Σ_k w_gk · L_gk: the current weights against
+// the normalized per-source losses of the last pass — the quantity whose
+// stabilization we use as the convergence criterion.
 func (s *solver) objective() float64 {
-	losses, _ := s.sourceLosses()
 	var f float64
-	for g, gl := range losses {
+	for g, gl := range s.groupLosses {
 		for k, l := range gl {
 			f += s.weights[g][k] * l
 		}

@@ -80,3 +80,27 @@ func TestTraceWeightSummaryGroups(t *testing.T) {
 		t.Fatalf("trace summary %+v != first-group summary %+v", last.Weights, want)
 	}
 }
+
+// TestTraceWorkers pins the per-phase worker counts: the weight phase
+// runs no parallel region and reports 1, the truth phase — the
+// iteration's one pass over the claims — reports the budget it engaged.
+func TestTraceWorkers(t *testing.T) {
+	d := synthesize(equivCase{"mixed", 2, 2, 6, 200, 0.2}, 46)
+	if nsh := numShards(d.NumEntries()); nsh < 4 {
+		t.Fatalf("dataset has %d shards, need at least 4", nsh)
+	}
+	for _, w := range []int{1, 4} {
+		var recs []obs.IterationTrace
+		if _, err := Run(d, Config{Workers: w, Trace: obs.TraceFunc(func(r obs.IterationTrace) {
+			recs = append(recs, r)
+		})}); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if r.WeightWorkers != 1 || r.TruthWorkers != w {
+				t.Fatalf("workers=%d: iteration %d reports weight_workers=%d truth_workers=%d, want 1 and %d",
+					w, r.Iteration, r.WeightWorkers, r.TruthWorkers, w)
+			}
+		}
+	}
+}

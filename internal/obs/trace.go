@@ -78,8 +78,11 @@ type IterationTrace struct {
 	// truth update — the per-iteration convergence curve.
 	Objective float64 `json:"objective"`
 	// WeightPhase, TruthPhase, and ObjectivePhase are the wall times of
-	// the iteration's three stages: the Step I weight update, the Step II
-	// truth update, and the objective evaluation.
+	// the iteration's three stages. WeightPhase is the Step I scheme
+	// alone, applied to the losses the previous pass left behind.
+	// TruthPhase is the iteration's one pass over the claims: the Step II
+	// truth update with each shard's loss fold. ObjectivePhase is the dot
+	// product of the new weights with those losses.
 	WeightPhase    time.Duration `json:"weight_phase_ns"`
 	TruthPhase     time.Duration `json:"truth_phase_ns"`     // see WeightPhase
 	ObjectivePhase time.Duration `json:"objective_phase_ns"` // see WeightPhase
@@ -89,9 +92,11 @@ type IterationTrace struct {
 	TruthChanges int `json:"truth_changes"`
 	// WeightWorkers and TruthWorkers are the worker budgets engaged by
 	// the iteration's weight-update and truth-update phases (1 =
-	// sequential). The budget never affects results — solver output is
-	// bit-identical for every worker count — so these exist purely to
-	// attribute phase wall times to the parallelism that produced them.
+	// sequential). The weight phase runs no parallel region, so
+	// WeightWorkers is always 1. The budget never affects results —
+	// solver output is bit-identical for every worker count — so these
+	// exist purely to attribute phase wall times to the parallelism that
+	// produced them.
 	WeightWorkers int `json:"weight_workers"`
 	TruthWorkers  int `json:"truth_workers"` // see WeightWorkers
 	// Weights summarizes the source-weight vector after the weight

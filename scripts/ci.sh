@@ -23,10 +23,11 @@
 #                      per-stage latency histograms (docs/LOAD.md)
 #   8. allocation pins the AllocsPerRun pins on the resolve encode /
 #                      cached-bytes serve paths and the solver's
-#                      zero-allocation-per-iteration contract, on their
-#                      own so an allocation regression in either hot
-#                      path is named in the logs (the golden
-#                      byte-equality suite already ran inside make check)
+#                      zero-allocation-per-iteration contract, plus the
+#                      solver's one-loss-pass-per-iteration count, on
+#                      their own so a regression in either hot path is
+#                      named in the logs (the golden byte-equality
+#                      suite already ran inside make check)
 #   9. coverage floor  go test -coverprofile over the solver and data
 #                      layers; fails if combined statement coverage of
 #                      internal/core + internal/data + internal/col
@@ -65,9 +66,9 @@ make fuzz FUZZTIME=5s
 echo "==> loadcheck (serve-path smoke)"
 make loadcheck
 
-echo "==> allocation pins (encode + solver iterations)"
+echo "==> allocation pins (encode + solver iterations + loss passes)"
 go test -run 'TestEncodeAllocs' -count=1 ./internal/server/
-go test -run 'TestSolverIterationAllocFree|TestSolverRunReusesPrepared' -count=1 ./internal/core/
+go test -run 'TestSolverIterationAllocFree|TestSolverRunReusesPrepared|TestSolverLossPassCount' -count=1 ./internal/core/
 
 echo "==> coverage floor (solver + data layers)"
 mkdir -p results
