@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -461,4 +462,93 @@ func (s *syncBuffer) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.b.String()
+}
+
+// TestDecayFlagReachesIncremental boots crhd with -decay 0, ingests two
+// batches into an empty dataset, and checks /incremental serves the
+// weights of a stream processor run at α = 0 over the same two chunks —
+// not those of the α = 1 default.
+func TestDecayFlagReachesIncremental(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ready := make(chan string, 1)
+	done := make(chan int, 1)
+	var stderr syncBuffer
+	go func() { done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-decay", "0"}, &stderr, ready) }()
+	var base string
+	select {
+	case addr := <-ready:
+		base = "http://" + addr
+	case code := <-done:
+		t.Fatalf("server exited early with code %d: %s", code, stderr.String())
+	case <-time.After(10 * time.Second):
+		t.Fatal("server did not become ready")
+	}
+	post := func(path, body string) {
+		t.Helper()
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != 200 && resp.StatusCode != 201 {
+			t.Fatalf("POST %s: %d", path, resp.StatusCode)
+		}
+	}
+
+	// Source a is accurate in the first batch, source c in the second,
+	// so keeping or forgetting the first batch gives different weights.
+	batches := [][3]float64{{10, 14, 19}, {20, 27, 21}}
+	post("/v1/datasets/d", "")
+	for i, vals := range batches {
+		var obs []string
+		for k, v := range vals {
+			obs = append(obs, fmt.Sprintf(`{"source":"%c","object":"o%d","property":"temp","value":%g}`, 'a'+k, i, v))
+		}
+		post("/v1/datasets/d/observations", `{"observations":[`+strings.Join(obs, ",")+`]}`)
+	}
+	resp, err := http.Get(base + "/v1/datasets/d/incremental")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inc struct {
+		Weights map[string]float64 `json:"weights"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&inc)
+	_ = resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	weightsAt := func(decay float64) []float64 {
+		proc := crh.NewStreamProcessor(0, crh.StreamOptions{Decay: decay, DecaySet: true})
+		for i, vals := range batches {
+			b := crh.NewBuilder()
+			for k, v := range vals {
+				if err := b.ObserveFloat(fmt.Sprintf("%c", 'a'+k), fmt.Sprintf("o%d", i), "temp", v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			proc.Process(b.Build())
+		}
+		return proc.Weights()
+	}
+	want, retained := weightsAt(0), weightsAt(1)
+	if math.Float64bits(want[0]) == math.Float64bits(retained[0]) {
+		t.Fatalf("test batches do not tell α = 0 from α = 1: %v vs %v", want, retained)
+	}
+	for k, w := range want {
+		name := fmt.Sprintf("%c", 'a'+k)
+		if got, ok := inc.Weights[name]; !ok || math.Float64bits(got) != math.Float64bits(w) {
+			t.Errorf("weight %s = %v, want %v (α = 0); α = 1 would give %v", name, got, w, retained[k])
+		}
+	}
+
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("server did not shut down")
+	}
 }

@@ -74,10 +74,10 @@ func TestSolverIterationAllocFreeProbabilistic(t *testing.T) {
 
 // TestSolverRunReusesPrepared pins the flip side: a whole Run on a
 // Prepared must stay within a fixed allocation budget that does not
-// scale with the dataset's claim count — the freeze, not the run, owns
-// the data-sized buffers. The budget is generous (setup still allocates
-// weights, partials, scratch) but catches any per-entry allocation
-// sneaking back into the iteration loop.
+// scale with the dataset's claim count — the dataset and Prepare, not
+// the run, own the data-sized buffers. The budget is generous (setup
+// still allocates weights, partials, scratch) but catches any per-entry
+// allocation sneaking back into the iteration loop.
 func TestSolverRunReusesPrepared(t *testing.T) {
 	small := Prepare(synthesize(equivCase{"mixed", 2, 2, 8, 100, 0.2}, 44))
 	big := Prepare(synthesize(equivCase{"mixed", 2, 2, 8, 1600, 0.2}, 44))

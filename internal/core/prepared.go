@@ -4,23 +4,21 @@ import (
 	"math"
 	"time"
 
-	"github.com/crhkit/crh/internal/col"
 	"github.com/crhkit/crh/internal/data"
 	"github.com/crhkit/crh/internal/obs"
 	"github.com/crhkit/crh/internal/stats"
 )
 
-// Prepared is a dataset frozen for solving: the columnar claim index
-// (internal/col) plus the per-entry statistics every run needs but no
-// run mutates. Preparing costs one scan of the dataset; once built, a
+// Prepared is a dataset readied for solving: the per-entry statistics
+// every run needs but no run mutates. The solver reads the claims
+// straight from the dataset's entry-major index, so preparing costs one
+// pass over the continuous claims and copies none. Once built, a
 // Prepared is immutable and safe for any number of concurrent Run /
-// IncrementalPass calls. Callers that solve the same
-// dataset repeatedly — the resolve server's snapshots, the streaming
-// processor's warm chunks, benchmark sweeps — should Prepare once and
-// reuse it; the package-level Run freezes on every call.
+// IncrementalPass calls. Callers that solve the same dataset repeatedly
+// — the resolve server's snapshots, benchmark sweeps — should Prepare
+// once and reuse it; the package-level Run prepares on every call.
 type Prepared struct {
-	d    *data.Dataset
-	cols *col.Columns
+	d *data.Dataset
 	// props caches the property descriptors in index order so hot loops
 	// resolve them without re-deriving from the dataset.
 	props []*data.Property
@@ -29,35 +27,33 @@ type Prepared struct {
 	entryStd []float64
 }
 
-// Prepare freezes d's columnar view and per-entry statistics. The
-// dataset must not be mutated afterwards (datasets built by
-// data.Builder are immutable already).
+// Prepare computes d's per-entry spreads. The dataset must not be
+// mutated afterwards (datasets built by data.Builder are immutable
+// already).
 func Prepare(d *data.Dataset) *Prepared {
-	c := col.Freeze(d)
 	p := &Prepared{
 		d:        d,
-		cols:     c,
 		props:    make([]*data.Property, d.NumProps()),
 		entryStd: make([]float64, d.NumEntries()),
 	}
 	for m := range p.props {
 		p.props[m] = d.Prop(m)
 	}
-	for e := 0; e < d.NumEntries(); e++ {
-		// Entries are gathered in the same (source-ascending) order the
-		// row-major solver used, so the computed spreads are bit-identical.
-		if c.PropKind[c.EntryProp(e)] == data.Continuous {
-			p.entryStd[e] = stats.Std(c.Floats(e))
+	for e := range p.entryStd {
+		// Claims are in source-ascending order, the order the spreads
+		// have always been summed in, so they stay bit-identical.
+		if p.props[d.EntryProp(e)].Type == data.Continuous {
+			p.entryStd[e] = stats.Std(d.EntryFloats(e))
 		}
 	}
 	return p
 }
 
-// Dataset returns the dataset this Prepared was frozen from.
+// Dataset returns the dataset this Prepared was built from.
 func (p *Prepared) Dataset() *data.Dataset { return p.d }
 
 // Run executes CRH over the prepared dataset. See the package-level Run
-// for the semantics; this variant skips the per-call freeze.
+// for the semantics; this variant skips the per-call Prepare.
 func (p *Prepared) Run(cfg Config) (*Result, error) {
 	if p.d.NumSources() == 0 || p.d.NumEntries() == 0 {
 		return nil, ErrEmptyDataset

@@ -6,19 +6,18 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/crhkit/crh/internal/col"
 	"github.com/crhkit/crh/internal/data"
 	"github.com/crhkit/crh/internal/loss"
 	"github.com/crhkit/crh/internal/reg"
 )
 
-// solver carries the mutable state of one run over a frozen Prepared.
+// solver carries the mutable state of one run over a Prepared.
 // Every buffer the iteration loop touches is allocated here, once: with
 // the default losses and scheme steady-state iterations perform zero
 // allocations — a contract pinned by TestSolverIterationAllocFree.
 type solver struct {
 	prep *Prepared
-	cols *col.Columns
+	d    *data.Dataset
 	cfg  Config
 
 	workers int
@@ -73,14 +72,18 @@ type solver struct {
 
 // scratch holds one worker's reusable per-entry buffers: gathered
 // weights, the continuous loss's working space, and the categorical
-// vote tally. All are sized once from the frozen columns' maxima
-// (MaxObs, MaxCats), so per-entry slicing never reallocates.
+// vote tally. All are sized once from the dataset's maxima (observers
+// per entry, categories per property), so per-entry slicing never
+// reallocates.
 type scratch struct {
 	ws, vbuf, wbuf, votes []float64
 }
 
 func (s *solver) newScratch() *scratch {
-	mo, mc := s.cols.MaxObs, s.cols.MaxCats
+	mo, mc := s.d.MaxEntryObservers(), 0
+	for _, p := range s.prep.props {
+		mc = max(mc, p.NumCats())
+	}
 	return &scratch{
 		ws:    make([]float64, mo),
 		vbuf:  make([]float64, mo),
@@ -90,12 +93,12 @@ func (s *solver) newScratch() *scratch {
 }
 
 func newSolver(p *Prepared, cfg Config) *solver {
-	c := p.cols
-	K, M := c.Sources, c.Props
-	nEntries := c.NumEntries()
+	d := p.d
+	K, M := d.NumSources(), d.NumProps()
+	nEntries := d.NumEntries()
 	s := &solver{
 		prep:    p,
-		cols:    c,
+		d:       d,
 		cfg:     cfg,
 		workers: cfg.Workers,
 		pool:    cfg.Pool,
@@ -115,17 +118,14 @@ func newSolver(p *Prepared, cfg Config) *solver {
 		// distribution; the loss overwrites its view in place each
 		// iteration instead of allocating a fresh slice per entry.
 		var total int
-		for m := 0; m < M; m++ {
-			if c.PropKind[m] == data.Categorical {
-				total += c.NumCats[m] * c.Objects
-			}
+		for _, pr := range p.props {
+			total += pr.NumCats() * d.NumObjects()
 		}
 		s.distArena = make([]float64, total)
 		off := 0
 		for e := 0; e < nEntries; e++ {
-			m := c.EntryProp(e)
-			if c.PropKind[m] == data.Categorical {
-				nc := c.NumCats[m]
+			if pr := p.props[d.EntryProp(e)]; pr.Type == data.Categorical {
+				nc := pr.NumCats()
 				s.dists[e] = s.distArena[off : off+nc : off+nc]
 				off += nc
 			}
@@ -206,7 +206,7 @@ func (s *solver) effectiveWorkers() int {
 // Shards are claimed dynamically (work stealing) which is safe precisely
 // because the merge happens by shard index, not by completion order.
 func (s *solver) forShards(fn func(sc *scratch, sh, lo, hi int)) {
-	n := s.cols.NumEntries()
+	n := s.d.NumEntries()
 	nsh := s.nsh
 	w := s.effectiveWorkers()
 	s.lastWorkers = w
@@ -246,12 +246,12 @@ func (s *solver) forShards(fn func(sc *scratch, sh, lo, hi int)) {
 }
 
 // gatherWeights fills sc.ws with the current weight of each source
-// observing entry e (property m), in the claim order of the frozen
-// columns. Runs once per entry per pass against preallocated scratch.
+// observing entry e (property m), in the entry's claim order. Runs once
+// per entry per pass against preallocated scratch.
 //
 //crh:hotpath
 func (s *solver) gatherWeights(sc *scratch, e, m int) []float64 {
-	srcs := s.cols.SrcsOf(e)
+	srcs := s.d.EntrySources(e)
 	gw := s.weights[s.groupOf[m]]
 	ws := sc.ws[:len(srcs)]
 	for j, k := range srcs {
@@ -286,7 +286,7 @@ func (s *solver) pass(resolve, countChanges bool) int {
 	// one allocation per iteration, breaking the zero-steady-state pin.
 	if s.effectiveWorkers() <= 1 {
 		s.lastWorkers = 1
-		n := s.cols.NumEntries()
+		n := s.d.NumEntries()
 		for sh := 0; sh < s.nsh; sh++ {
 			lo, hi := shardBounds(n, sh, s.nsh)
 			s.passShard(s.seq, sh, lo, hi, resolve, perShard)
@@ -297,7 +297,7 @@ func (s *solver) pass(resolve, countChanges bool) int {
 		})
 	}
 
-	KM := s.cols.Sources * s.cols.Props
+	KM := s.d.NumSources() * s.d.NumProps()
 	sum, cnt := s.lm.Sum, s.lm.Cnt
 	clear(sum)
 	clear(cnt)
@@ -334,7 +334,7 @@ func (s *solver) passShard(sc *scratch, sh, lo, hi int, resolve bool, perShard [
 	if resolve {
 		s.truthShard(sc, sh, lo, hi, perShard)
 	}
-	KM := s.cols.Sources * s.cols.Props
+	KM := s.d.NumSources() * s.d.NumProps()
 	lsum := s.partSum[sh*KM : (sh+1)*KM]
 	lcnt := s.partCnt[sh*KM : (sh+1)*KM]
 	clear(lsum)
@@ -349,7 +349,6 @@ func (s *solver) passShard(sc *scratch, sh, lo, hi int, resolve bool, perShard [
 //
 //crh:hotpath
 func (s *solver) truthShard(sc *scratch, sh, lo, hi int, perShard []int) {
-	c := s.cols
 	for e := lo; e < hi; e++ {
 		if s.cfg.KnownTruths != nil && s.cfg.KnownTruths.Has(e) {
 			v, _ := s.cfg.KnownTruths.Get(e)
@@ -362,7 +361,7 @@ func (s *solver) truthShard(sc *scratch, sh, lo, hi int, perShard []int) {
 			continue
 		}
 		if perShard != nil {
-			t := c.PropKind[c.EntryProp(e)]
+			t := s.prep.props[s.d.EntryProp(e)].Type
 			if old, ok := s.truths.Get(e); !ok || truthChanged(t, old, nv) {
 				perShard[sh]++
 			}
@@ -372,29 +371,28 @@ func (s *solver) truthShard(sc *scratch, sh, lo, hi int, perShard []int) {
 }
 
 // resolveEntry performs the Step II argmin for one unpinned entry: read
-// its claims straight from the frozen columns, gather the observers'
-// weights, and let the configured loss pick the minimizing estimate
-// (Eq 7/9). ok is false when nobody observed the entry. This is the
-// truth-update inner loop — it runs once per entry per iteration, and
-// //crh:hotpath holds it and everything it calls to zero steady-state
-// allocations; with the built-in kernels the whole update allocates
-// nothing.
+// its claims straight from the dataset's claim index, gather the
+// observers' weights, and let the configured loss pick the minimizing
+// estimate (Eq 7/9). ok is false when nobody observed the entry. This is
+// the truth-update inner loop — it runs once per entry per iteration,
+// and //crh:hotpath holds it and everything it calls to zero
+// steady-state allocations; with the built-in kernels the whole update
+// allocates nothing.
 //
 //crh:hotpath
 func (s *solver) resolveEntry(sc *scratch, e int) (data.Value, bool) {
-	c := s.cols
-	m := c.EntryProp(e)
-	if c.PropKind[m] == data.Categorical {
-		codes := c.Codes(e)
+	m := s.d.EntryProp(e)
+	if p := s.prep.props[m]; p.Type == data.Categorical {
+		codes := s.d.EntryCodes(e)
 		if len(codes) == 0 {
 			return data.Value{}, false
 		}
 		ws := s.gatherWeights(sc, e, m)
-		t, dist := s.cat.TruthCodes(codes, ws, sc.votes, s.dists[e], s.prep.props[m])
+		t, dist := s.cat.TruthCodes(codes, ws, sc.votes, s.dists[e], p)
 		s.dists[e] = dist
 		return data.Cat(t), true
 	}
-	vals := c.Floats(e)
+	vals := s.d.EntryFloats(e)
 	if len(vals) == 0 {
 		return data.Value{}, false
 	}
@@ -421,19 +419,18 @@ func truthChanged(t data.Type, old, nv data.Value) bool {
 //
 //crh:hotpath
 func (s *solver) accumulateShard(lsum []float64, lcnt []int32, lo, hi int) {
-	c := s.cols
-	M := c.Props
+	d := s.d
+	M := d.NumProps()
 	for e := lo; e < hi; e++ {
 		truth, ok := s.truths.Get(e)
 		if !ok {
 			continue
 		}
-		m := c.EntryProp(e)
-		srcs := c.SrcsOf(e)
-		if c.PropKind[m] == data.Categorical {
+		m := d.EntryProp(e)
+		srcs := d.EntrySources(e)
+		if p := s.prep.props[m]; p.Type == data.Categorical {
 			dist := s.dists[e]
-			p := s.prep.props[m]
-			codes := c.Codes(e)
+			codes := d.EntryCodes(e)
 			tc := int(truth.C)
 			for j, k := range srcs {
 				i := int(k)*M + m
@@ -442,7 +439,7 @@ func (s *solver) accumulateShard(lsum []float64, lcnt []int32, lo, hi int) {
 			}
 		} else {
 			std := s.prep.entryStd[e]
-			vals := c.Floats(e)
+			vals := d.EntryFloats(e)
 			for j, k := range srcs {
 				i := int(k)*M + m
 				lsum[i] += s.cont.Deviation(truth.F, vals[j], std)
@@ -480,21 +477,21 @@ func (s *solver) objective() float64 {
 // entry scores 1; an entry carried by a narrow weighted majority scores
 // near the majority's share.
 func (s *solver) confidence() []float64 {
-	c := s.cols
-	conf := make([]float64, c.NumEntries())
+	d := s.d
+	conf := make([]float64, d.NumEntries())
 	s.forShards(func(_ *scratch, _, lo, hi int) {
 		for e := lo; e < hi; e++ {
 			truth, ok := s.truths.Get(e)
 			if !ok {
 				continue
 			}
-			m := c.EntryProp(e)
-			categorical := c.PropKind[m] == data.Categorical
+			m := d.EntryProp(e)
+			categorical := s.prep.props[m].Type == data.Categorical
 			gw := s.weights[s.groupOf[m]]
-			srcs := c.SrcsOf(e)
+			srcs := d.EntrySources(e)
 			var support, total float64
 			if categorical {
-				codes := c.Codes(e)
+				codes := d.EntryCodes(e)
 				for j, k := range srcs {
 					total += gw[k]
 					if int32(codes[j]) == truth.C {
@@ -503,7 +500,7 @@ func (s *solver) confidence() []float64 {
 				}
 			} else {
 				std := loss.StdGuard(s.prep.entryStd[e])
-				vals := c.Floats(e)
+				vals := d.EntryFloats(e)
 				for j, k := range srcs {
 					total += gw[k]
 					if math.Abs(vals[j]-truth.F) <= std {
@@ -518,7 +515,7 @@ func (s *solver) confidence() []float64 {
 				// unweighted share.
 				var n, agree float64
 				if categorical {
-					for _, code := range c.Codes(e) {
+					for _, code := range d.EntryCodes(e) {
 						n++
 						if int32(code) == truth.C {
 							agree++
@@ -526,7 +523,7 @@ func (s *solver) confidence() []float64 {
 					}
 				} else {
 					std := loss.StdGuard(s.prep.entryStd[e])
-					for _, v := range c.Floats(e) {
+					for _, v := range d.EntryFloats(e) {
 						n++
 						if math.Abs(v-truth.F) <= std {
 							agree++

@@ -3,6 +3,7 @@ package data
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Builder incrementally assembles a Dataset from observation triples.
@@ -21,9 +22,16 @@ type Builder struct {
 	timestamps map[int]int // object index -> timestamp
 }
 
+// rawObs is one recorded observation. The Value's two payloads are
+// stored apart, beside int32 indices, so it packs into 24 bytes: a large
+// dataset's Builder holds millions, and Build reads each at least twice.
 type rawObs struct {
-	src, obj, prop int
-	val            Value
+	f                   float64
+	src, obj, prop, cat int32
+}
+
+func newRawObs(src, obj, prop int, v Value) rawObs {
+	return rawObs{v.F, int32(src), int32(obj), int32(prop), v.C}
 }
 
 // NewBuilder returns an empty Builder.
@@ -94,7 +102,7 @@ func (b *Builder) ObserveFloat(source, object, property string, v float64) error
 	if err != nil {
 		return err
 	}
-	b.obs = append(b.obs, rawObs{b.Source(source), b.Object(object), p, Float(v)})
+	b.obs = append(b.obs, newRawObs(b.Source(source), b.Object(object), p, Float(v)))
 	return nil
 }
 
@@ -107,7 +115,7 @@ func (b *Builder) ObserveCat(source, object, property, v string) error {
 		return err
 	}
 	id := b.props[p].internCat(v)
-	b.obs = append(b.obs, rawObs{b.Source(source), b.Object(object), p, Cat(id)})
+	b.obs = append(b.obs, newRawObs(b.Source(source), b.Object(object), p, Cat(id)))
 	return nil
 }
 
@@ -115,7 +123,7 @@ func (b *Builder) ObserveCat(source, object, property, v string) error {
 // path used by generators; the caller is responsible for index validity
 // (categorical values must already be interned via CatValue).
 func (b *Builder) ObserveIdx(source, object, property int, v Value) {
-	b.obs = append(b.obs, rawObs{source, object, property, v})
+	b.obs = append(b.obs, newRawObs(source, object, property, v))
 }
 
 // CatValue interns a categorical value for property p and returns its index.
@@ -145,30 +153,64 @@ func (b *Builder) NumObjects() int { return len(b.objects) }
 // NumSources returns the number of sources interned so far.
 func (b *Builder) NumSources() int { return len(b.sources) }
 
-// Build materializes the Dataset. Duplicate observations of the same
-// (source, entry) keep the last value recorded. The Builder remains usable;
-// further observations affect only later Builds.
+// Build materializes the Dataset's entry-major claim index (see
+// Dataset). Each entry's claims are ordered by ascending source, and
+// duplicate observations of the same (source, entry) keep the last value
+// recorded. The Builder remains usable; further observations affect only
+// later Builds. Build panics when more than 2³¹−1 observations have been
+// recorded: the claim offsets are int32, half the footprint of int, and a
+// dataset that large does not fit the in-process representation anyway.
 func (b *Builder) Build() *Dataset {
 	N, M, K := len(b.objects), len(b.props), len(b.sources)
+	NM := N * M
+	checkClaimCount(len(b.obs))
 	d := &Dataset{
 		objects: append([]string(nil), b.objects...),
 		props:   append([]Property(nil), b.props...),
 		sources: append([]string(nil), b.sources...),
-		obs:     make([][]Value, K),
-		present: make([][]bool, K),
+		off:     make([]int32, NM+1),
+		voff:    make([]int32, NM),
 		counts:  make([]int, K),
 	}
-	for k := 0; k < K; k++ {
-		d.obs[k] = make([]Value, N*M)
-		d.present[k] = make([]bool, N*M)
+
+	// Observations recorded entry by entry with ascending sources — as
+	// the TSV codec and generators write them — are the claim list
+	// already; anything else is reordered first.
+	claims := b.obs
+	if !countClaims(d.off, claims, M) {
+		claims = claimOrder(claims, NM, M)
+		clear(d.off)
+		countClaims(d.off, claims, M)
 	}
-	for _, o := range b.obs {
-		e := o.obj*M + o.prop
-		if !d.present[o.src][e] {
-			d.present[o.src][e] = true
-			d.counts[o.src]++
+
+	// Offsets: off is the prefix sum of the per-entry counts; voff
+	// prefix-sums continuous and categorical entries separately, so each
+	// typed value column is exactly as long as its claims.
+	var nf, nc int32
+	for e := 0; e < NM; e++ {
+		n := d.off[e+1]
+		d.off[e+1] += d.off[e]
+		d.maxObs = max(d.maxObs, int(n))
+		if d.props[e%M].Type == Categorical {
+			d.voff[e] = nc
+			nc += n
+		} else {
+			d.voff[e] = nf
+			nf += n
 		}
-		d.obs[o.src][e] = o.val
+	}
+	d.src = make([]uint32, len(claims))
+	d.vf = make([]float64, 0, nf)
+	d.vc = make([]uint32, 0, nc)
+	for j := range claims {
+		c := &claims[j]
+		d.src[j] = uint32(c.src)
+		d.counts[c.src]++
+		if d.props[c.prop].Type == Categorical {
+			d.vc = append(d.vc, uint32(c.cat))
+		} else {
+			d.vf = append(d.vf, c.f)
+		}
 	}
 	if b.timestamps != nil {
 		d.timestamps = make([]int, N)
@@ -177,4 +219,63 @@ func (b *Builder) Build() *Dataset {
 		}
 	}
 	return d
+}
+
+// checkClaimCount panics when n observations overflow the int32 claim
+// index.
+func checkClaimCount(n int) {
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("data: %d observations overflow the int32 claim index", n))
+	}
+}
+
+// countClaims adds each observation's entry to cnt[e+1] and reports
+// whether obs is already a claim list: ascending by entry, and strictly
+// ascending by source within an entry (so no repeats).
+func countClaims(cnt []int32, obs []rawObs, M int) bool {
+	ordered := true
+	prevE, prevSrc := -1, int32(-1)
+	for i := range obs {
+		o := &obs[i]
+		e := int(o.obj)*M + int(o.prop)
+		cnt[e+1]++
+		if e < prevE || e == prevE && o.src <= prevSrc {
+			ordered = false
+		}
+		prevE, prevSrc = e, o.src
+	}
+	return ordered
+}
+
+// claimOrder returns obs as a claim list: bucketed by entry, each bucket
+// ordered by ascending source, and only the last-recorded observation of
+// each (source, entry) kept.
+func claimOrder(obs []rawObs, NM, M int) []rawObs {
+	start := make([]int32, NM+1)
+	countClaims(start, obs, M)
+	for e := 0; e < NM; e++ {
+		start[e+1] += start[e]
+	}
+	// Bucket by entry, keeping recording order within each bucket.
+	order := make([]int32, len(obs))
+	fill := append([]int32(nil), start[:NM]...)
+	for i := range obs {
+		e := int(obs[i].obj)*M + int(obs[i].prop)
+		order[fill[e]] = int32(i)
+		fill[e]++
+	}
+	out := make([]rawObs, 0, len(obs))
+	for e := 0; e < NM; e++ {
+		idx := order[start[e]:start[e+1]]
+		// A stable sort keeps each source's repeats in recording order,
+		// so the last of a run of equal sources is the one that wins.
+		slices.SortStableFunc(idx, func(a, b int32) int { return int(obs[a].src - obs[b].src) })
+		for j, i := range idx {
+			if j+1 < len(idx) && obs[idx[j+1]].src == obs[i].src {
+				continue
+			}
+			out = append(out, obs[i])
+		}
+	}
+	return out
 }

@@ -191,3 +191,117 @@ func TestObserveFloatRejectsNonFinite(t *testing.T) {
 		t.Fatalf("observations = %d", got)
 	}
 }
+
+// Property tests for the categorical dictionaries: a claim's category
+// code is its index in the property's dictionary, so the dictionary must
+// be a deterministic bijection — intern/lookup round-trips, codes depend
+// only on first-mention order, and rebuilding from the same inputs
+// reproduces it exactly.
+
+// nameStream derives a bounded random stream of names (with duplicates)
+// from a seed.
+func nameStream(seed int64) []string {
+	rng := rand.New(rand.NewSource(seed))
+	distinct := 1 + rng.Intn(12)
+	n := distinct + rng.Intn(40)
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("v%02d", rng.Intn(distinct))
+	}
+	return out
+}
+
+// internAll builds a categorical property's dictionary from a stream.
+func internAll(stream []string) *Property {
+	p := &Property{Name: "p", Type: Categorical}
+	for _, s := range stream {
+		p.internCat(s)
+	}
+	return p
+}
+
+// sameCats reports whether two properties map the same names to the
+// same codes.
+func sameCats(a, b *Property) bool {
+	if a.NumCats() != b.NumCats() {
+		return false
+	}
+	for c := 0; c < a.NumCats(); c++ {
+		if a.CatName(c) != b.CatName(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCategoryDictRoundTripQuick: after interning any stream, CatID∘CatName
+// and CatName∘CatID are identities, codes are dense in [0, NumCats), and
+// interning is idempotent.
+func TestCategoryDictRoundTripQuick(t *testing.T) {
+	f := func(seed int64) bool {
+		stream := nameStream(seed)
+		p := internAll(stream)
+		for c := 0; c < p.NumCats(); c++ {
+			if got, ok := p.CatID(p.CatName(c)); !ok || got != c {
+				return false
+			}
+		}
+		for _, s := range stream {
+			c, ok := p.CatID(s)
+			if !ok || c >= p.NumCats() || p.CatName(c) != s {
+				return false
+			}
+			if p.internCat(s) != c { // idempotent: re-interning changes nothing
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCategoryCodeStabilityUnderPermutedInsertion: codes are a function
+// of the first-mention order alone. Shuffling every repeat mention while
+// keeping each name's first occurrence in place yields an identical
+// dictionary.
+func TestCategoryCodeStabilityUnderPermutedInsertion(t *testing.T) {
+	f := func(seed int64) bool {
+		stream := nameStream(seed)
+		seen := make(map[string]bool)
+		var firsts, dups []string
+		for _, s := range stream {
+			if seen[s] {
+				dups = append(dups, s)
+			} else {
+				seen[s] = true
+				firsts = append(firsts, s)
+			}
+		}
+		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+		rng.Shuffle(len(dups), func(i, j int) { dups[i], dups[j] = dups[j], dups[i] })
+		return sameCats(internAll(stream), internAll(append(firsts, dups...)))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCategoryDictRebuildDeterminismQuick: interning the same stream
+// twice, or re-interning a dictionary's own name list, reproduces it
+// exactly — what gives every rebuild of a dataset identical codes.
+func TestCategoryDictRebuildDeterminismQuick(t *testing.T) {
+	f := func(seed int64) bool {
+		stream := nameStream(seed)
+		a := internAll(stream)
+		names := make([]string, a.NumCats())
+		for c := range names {
+			names[c] = a.CatName(c)
+		}
+		return sameCats(a, internAll(stream)) && sameCats(a, internAll(names))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+}

@@ -22,7 +22,7 @@ func benchServer(b *testing.B) *Server {
 	if err := data.Encode(&buf, d, nil); err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(Config{})
+	s, err := New(Config{Decay: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

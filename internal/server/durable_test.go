@@ -27,10 +27,11 @@ func mustClose(t *testing.T, s *Server) {
 }
 
 // durableServer builds a Server over dir with a tight snapshot cadence so
-// compaction paths get exercised even in short tests.
+// compaction paths get exercised even in short tests, at crhd's default
+// decay rate α = 1.
 func durableServer(t *testing.T, dir string, cfg Config) *Server {
 	t.Helper()
-	cfg.DataDir = dir
+	cfg.DataDir, cfg.Decay = dir, 1
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +163,7 @@ func TestDurableRecoveryMatchesUncrashed(t *testing.T) {
 	e2, _ := s2.registry.Get("d")
 	ingestN(t, e2, 4) // note: ingestN restarts i at 0; mirrored below
 
-	ref, err := New(Config{})
+	ref, err := New(Config{Decay: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 // sharing must affect throughput only, never results. Run under the race
 // detector by `make racehammer`.
 func TestResolveHammerSharedPool(t *testing.T) {
-	pooled, err := New(Config{SolverWorkers: 2})
+	pooled, err := New(Config{SolverWorkers: 2, Decay: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestResolveHammerSharedPool(t *testing.T) {
 	ts := httptest.NewServer(pooled.Handler())
 	t.Cleanup(ts.Close)
 
-	sequential, err := New(Config{SolverWorkers: 1})
+	sequential, err := New(Config{SolverWorkers: 1, Decay: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,15 +32,15 @@ type Snapshot struct {
 	// GT is the ground truth loaded with the dataset, nil when none.
 	GT *data.Table
 
-	// prepared lazily freezes Data's columnar solver view on the first
-	// CRH resolve and shares it with every later resolve of this
-	// snapshot — the freeze is paid once per ingested version, not once
-	// per request.
+	// prepared lazily computes Data's per-entry solver statistics on
+	// the first CRH resolve and shares them with every later resolve of
+	// this snapshot — Prepare is paid once per ingested version, not
+	// once per request.
 	prepOnce sync.Once
 	prepared *core.Prepared
 }
 
-// Prepared returns the snapshot's frozen columnar view, building it on
+// Prepared returns the snapshot's prepared solver view, building it on
 // first use. Safe for concurrent resolves: core.Prepared is immutable.
 func (s *Snapshot) Prepared() *core.Prepared {
 	s.prepOnce.Do(func() { s.prepared = core.Prepare(s.Data) })
@@ -295,28 +295,7 @@ func (e *entry) internProp(name string, t data.Type) {
 // earlier snapshots stay safe for concurrent readers. Caller must hold
 // e.mu (or exclusively own e).
 func (e *entry) rebuild(version int64) *Snapshot {
-	b := data.NewBuilder()
-	for _, s := range e.sources {
-		b.Source(s)
-	}
-	propIdx := make(map[string]int, len(e.props))
-	for _, p := range e.props {
-		propIdx[p.name] = b.MustProperty(p.name, p.typ)
-	}
-	for _, o := range e.log {
-		obj := b.Object(o.obj)
-		if o.hasTS {
-			b.SetTimestampIdx(obj, o.ts)
-		}
-		pid := propIdx[o.prop]
-		var v data.Value
-		if o.typ == data.Categorical {
-			v = data.Cat(b.CatValue(pid, o.cat))
-		} else {
-			v = data.Float(o.f)
-		}
-		b.ObserveIdx(b.Source(o.src), obj, pid, v)
-	}
+	b, propIdx := e.replay(e.log, func(o obsRec) (int, bool) { return o.ts, o.hasTS })
 	d := b.Build()
 	var gt *data.Table
 	if len(e.gt) > 0 {
@@ -332,6 +311,38 @@ func (e *entry) rebuild(version int64) *Snapshot {
 		}
 	}
 	return &Snapshot{Version: version, Data: d, GT: gt}
+}
+
+// replay feeds recs into a fresh builder after interning every source
+// and property known so far, in global order, so source and property
+// indices agree across every dataset the entry builds. stamp gives an
+// observation's object timestamp, or false to leave it unstamped. It
+// returns the builder and the property indices by name. Caller holds
+// e.mu (or exclusively owns e).
+func (e *entry) replay(recs []obsRec, stamp func(obsRec) (int, bool)) (*data.Builder, map[string]int) {
+	b := data.NewBuilder()
+	for _, s := range e.sources {
+		b.Source(s)
+	}
+	propIdx := make(map[string]int, len(e.props))
+	for _, p := range e.props {
+		propIdx[p.name] = b.MustProperty(p.name, p.typ)
+	}
+	for _, o := range recs {
+		obj := b.Object(o.obj)
+		if ts, ok := stamp(o); ok {
+			b.SetTimestampIdx(obj, ts)
+		}
+		pid := propIdx[o.prop]
+		var v data.Value
+		if o.typ == data.Categorical {
+			v = data.Cat(b.CatValue(pid, o.cat))
+		} else {
+			v = data.Float(o.f)
+		}
+		b.ObserveIdx(b.Source(o.src), obj, pid, v)
+	}
+	return b, propIdx
 }
 
 // Observation is one ingested observation, as posted to
@@ -485,36 +496,18 @@ func (e *entry) apply(recs []obsRec, version int64) {
 	e.warmMu.Unlock()
 }
 
-// buildChunk materializes the batch as an I-CRH chunk. All sources and
-// properties known so far are interned first, in global order, so the
-// processor's per-source state stays aligned across chunks (the same
-// contract stream.TSVStream documents). defaultTS stamps observations
-// that carry no explicit timestamp. Caller holds e.mu.
+// buildChunk materializes the batch as an I-CRH chunk. replay interns
+// all sources and properties known so far first, so the processor's
+// per-source state stays aligned across chunks (the same contract
+// stream.TSVStream documents). defaultTS stamps observations that carry
+// no explicit timestamp. Caller holds e.mu.
 func (e *entry) buildChunk(recs []obsRec, defaultTS int) *data.Dataset {
-	b := data.NewBuilder()
-	for _, s := range e.sources {
-		b.Source(s)
-	}
-	propIdx := make(map[string]int, len(e.props))
-	for _, p := range e.props {
-		propIdx[p.name] = b.MustProperty(p.name, p.typ)
-	}
-	for _, o := range recs {
-		obj := b.Object(o.obj)
-		ts := defaultTS
+	b, _ := e.replay(recs, func(o obsRec) (int, bool) {
 		if o.hasTS {
-			ts = o.ts
+			return o.ts, true
 		}
-		b.SetTimestampIdx(obj, ts)
-		pid := propIdx[o.prop]
-		var v data.Value
-		if o.typ == data.Categorical {
-			v = data.Cat(b.CatValue(pid, o.cat))
-		} else {
-			v = data.Float(o.f)
-		}
-		b.ObserveIdx(b.Source(o.src), obj, pid, v)
-	}
+		return defaultTS, true
+	})
 	return b.Build()
 }
 

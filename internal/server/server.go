@@ -23,8 +23,9 @@ import (
 type Config struct {
 	// CacheCapacity bounds the resolve result LRU (default 128 entries).
 	CacheCapacity int
-	// Decay is the I-CRH decay rate α for warm incremental state
-	// (default 1: retain all history).
+	// Decay is the I-CRH decay rate α ∈ [0, 1] for warm incremental
+	// state, used as given: 1 retains all history (crhd's -decay
+	// default), 0 keeps only the latest batch — as does the zero value.
 	Decay float64
 	// SolverWorkers sizes the solver worker pool every CRH computation
 	// (resolve requests and warm-ingest re-solves) shares, and so caps
@@ -90,9 +91,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.CacheCapacity == 0 {
 		cfg.CacheCapacity = 128
-	}
-	if cfg.Decay == 0 {
-		cfg.Decay = 1
 	}
 	if cfg.SolverWorkers <= 0 {
 		cfg.SolverWorkers = runtime.GOMAXPROCS(0)

@@ -22,7 +22,7 @@ import (
 // testServer starts an httptest server around a fresh Server.
 func testServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(Config{})
+	s, err := New(Config{Decay: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

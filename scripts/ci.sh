@@ -30,9 +30,9 @@
 #                      suite already ran inside make check)
 #   9. coverage floor  go test -coverprofile over the solver and data
 #                      layers; fails if combined statement coverage of
-#                      internal/core + internal/data + internal/col
-#                      falls below the floor, and archives the profile
-#                      under results/coverage.out
+#                      internal/core + internal/data falls below the
+#                      floor, and archives the profile under
+#                      results/coverage.out
 #  10. lint self-check every analyzer crhlint -list reports must have a
 #                      golden testdata package, and the full -json report
 #                      (suppressed findings included) is archived under
@@ -73,12 +73,12 @@ go test -run 'TestSolverIterationAllocFree|TestSolverRunReusesPrepared|TestSolve
 echo "==> coverage floor (solver + data layers)"
 mkdir -p results
 go test -count=1 -coverprofile=results/coverage.out \
-	-coverpkg=./internal/core/...,./internal/data/...,./internal/col/... \
-	./internal/core/... ./internal/data/... ./internal/col/... > /dev/null
+	-coverpkg=./internal/core/...,./internal/data/... \
+	./internal/core/... ./internal/data/... > /dev/null
 total=$(go tool cover -func=results/coverage.out | awk '/^total:/ {sub(/%/, "", $3); print $3}')
 floor=85.0
 if awk -v t="$total" -v f="$floor" 'BEGIN { exit !(t < f) }'; then
-	echo "coverage floor: ${total}% < ${floor}% over internal/{core,data,col}" >&2
+	echo "coverage floor: ${total}% < ${floor}% over internal/{core,data}" >&2
 	exit 1
 fi
 echo "coverage floor: ${total}% >= ${floor}% (profile archived at results/coverage.out)"
